@@ -154,9 +154,9 @@ def _dmc_main(argv: list[str]) -> int:
         "--resume",
         default=None,
         metavar="DIR",
-        help="resume from a checkpoint directory; with --processes, "
-        "'auto' resumes from --checkpoint-path when a checkpoint exists "
-        "and starts fresh otherwise",
+        help="resume from a checkpoint directory; 'auto' resumes from "
+        "--checkpoint-path when a checkpoint exists there and starts fresh "
+        "otherwise",
     )
     parser.add_argument(
         "--on-bad-energy",
@@ -177,6 +177,8 @@ def _dmc_main(argv: list[str]) -> int:
         help="enable observability and dump a Chrome trace_event JSON",
     )
     args = parser.parse_args(argv)
+    if args.generations < 1:
+        parser.error("--generations must be at least 1")
     if args.checkpoint_every is not None and args.checkpoint_path is None:
         parser.error("--checkpoint-every requires --checkpoint-path")
     fleet_flags = (

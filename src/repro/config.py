@@ -404,13 +404,18 @@ def effective_step_mode(
     ``default``.  Kept as a helper (rather than forcing every driver to
     build a full config) because ``step_mode`` is the one knob the
     walker-path drivers need even when they never touch the batched
-    engine.
+    engine.  Raises ``ValueError`` unless the result is ``"batched"`` or
+    ``"walker"``, whichever rung supplied it.
     """
-    if step_mode is not None:
-        return step_mode
-    if config is not None and config.step_mode is not None:
-        return config.step_mode
-    return os.environ.get("REPRO_STEP_MODE") or default
+    if step_mode is None and config is not None:
+        step_mode = config.step_mode
+    if step_mode is None:
+        step_mode = os.environ.get("REPRO_STEP_MODE") or default
+    if step_mode not in _STEP_MODES:
+        raise ValueError(
+            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
+        )
+    return step_mode
 
 
 def deprecated_kwargs(api: str, replacement: str = "config=RunConfig(...)", **used) -> None:

@@ -66,7 +66,6 @@ from repro.core.tiling import (
 from repro.core.verify import (
     EngineCheck,
     VerifyReport,
-    verify_backend,
     verify_engines,
 )
 from repro.core.walker import WalkerAoS, WalkerSoA, WalkerTiled
@@ -111,7 +110,6 @@ __all__ = [
     "input_working_set_bytes",
     "output_working_set_bytes",
     "Wisdom",
-    "verify_backend",
     "verify_engines",
     "VerifyReport",
     "EngineCheck",

@@ -11,11 +11,9 @@ their hardware, QMCPACK-unit-test style:
 Every engine is checked against the slow reference oracle at random and
 adversarial (boundary-wrapping) positions, for all three kernels.
 
-The same report machinery serves the kernel-backend conformance harness:
-:func:`verify_backend` (a lazy delegate to
-:mod:`repro.backends.conformance`) runs one pluggable backend through
-the batched engine against the frozen oracle at the backend's declared
-tier, so engine-family and backend checks share one summary format.
+The same report machinery serves the kernel-backend conformance harness,
+:func:`repro.backends.verify_backend`, so engine-family and backend
+checks share one summary format.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from repro.core.layout_fused import BsplineFused
 from repro.core.layout_soa import BsplineSoA
 from repro.core.refimpl import reference_v, reference_vgh, reference_vgl
 
-__all__ = ["EngineCheck", "VerifyReport", "verify_backend", "verify_engines"]
+__all__ = ["EngineCheck", "VerifyReport", "verify_engines"]
 
 
 @dataclass(frozen=True)
@@ -175,20 +173,3 @@ def verify_engines(
     report.checks.append(EngineCheck("batched", "vgh", worst, tol))
     return report
 
-
-def verify_backend(backend, grid=None, coefficients=None, **kwargs) -> VerifyReport:
-    """Differential-conformance check of one kernel backend.
-
-    Lazy delegate to :func:`repro.backends.conformance.verify_backend`
-    (imported here so ``repro.core`` keeps no import-time dependency on
-    the backends package, which itself builds on :mod:`repro.core`).
-    ``backend`` may be a registered name or a
-    :class:`repro.backends.KernelBackend` instance.
-    """
-    from repro.backends import get_backend
-    from repro.backends.base import KernelBackend
-    from repro.backends.conformance import verify_backend as _verify
-
-    if not isinstance(backend, KernelBackend):
-        backend = get_backend(backend)
-    return _verify(backend, grid, coefficients, **kwargs)

@@ -1,8 +1,9 @@
-"""Supervised, elastic, rebalancing DMC — the self-healing twin of
-:func:`repro.parallel.run_dmc_sharded`.
+"""Supervised, elastic, rebalancing DMC — the self-healing executor of
+the one DMC loop.
 
-Same physics, same loop (:func:`repro.parallel.dmc._run_dmc_loop`),
-different executor: walkers carry a sticky ``home`` shard assignment,
+Same physics, same loop (:func:`repro.qmc.dmc._run_dmc_loop`), a
+different executor from :func:`repro.parallel.run_dmc_sharded`'s plain
+pool: walkers carry a sticky ``home`` shard assignment,
 the :mod:`repro.fleet.rebalance` planner migrates them when branching
 skews the shards, the :class:`~repro.fleet.supervisor.FleetSupervisor`
 restarts crashed or hung workers mid-generation, and — because the
@@ -22,13 +23,11 @@ remains the recovery path for parent death.
 
 from __future__ import annotations
 
-from repro.core.coeffs import pad_table_3d
 from repro.fleet.rebalance import plan_rebalance, shard_imbalance
 from repro.fleet.supervisor import FleetConfig, FleetSupervisor
 from repro.obs import OBS
-from repro.parallel.crowd import CrowdSpec, solve_spec_table
-from repro.parallel.dmc import _init_dmc_shard, _run_dmc_loop, _WalkerState
-from repro.parallel.shared_table import SharedTable
+from repro.parallel.crowd import CrowdSpec
+from repro.parallel.dmc import _ArrayExecutor, _WalkerState, run_dmc_sharded
 from repro.qmc.dmc import DmcResult
 from repro.resilience.faults import FaultInjector
 from repro.resilience.guards import GuardConfig
@@ -36,7 +35,7 @@ from repro.resilience.guards import GuardConfig
 __all__ = ["run_dmc_supervised"]
 
 
-class _FleetExecutor:
+class _FleetExecutor(_ArrayExecutor):
     """Sticky-home sharding under a supervisor.
 
     Unlike the contiguous ``_PoolExecutor`` split, walkers keep their
@@ -48,12 +47,13 @@ class _FleetExecutor:
 
     def __init__(
         self,
-        supervisor: FleetSupervisor,
+        spec: CrowdSpec,
         step_mode: str,
+        supervisor: FleetSupervisor,
         injector: FaultInjector | None,
     ):
+        super().__init__(spec, step_mode)
         self._sup = supervisor
-        self._step_mode = step_mode
         self._injector = injector
         self._armed: set[int] = set()  # indices into injector.process_faults
 
@@ -94,7 +94,7 @@ class _FleetExecutor:
             buckets[s.home].append(i)
         return buckets
 
-    def _scatter(self, states: list[_WalkerState], method: str, *args) -> list:
+    def _call(self, states: list[_WalkerState], method: str, *args) -> list:
         """Shard by home, run supervised, gather in global walker order."""
         buckets = self._shard_indices(states)
         per_worker = [
@@ -128,18 +128,13 @@ class _FleetExecutor:
 
     # -- executor protocol ---------------------------------------------------
 
-    def measure(self, states: list[_WalkerState], ion_charge: float) -> list[float]:
-        # No fault arming here: a fault at generation g fires on that
-        # generation's propagate, not the initial measurement pass.
-        return self._scatter(states, "measure", ion_charge)
-
     def propagate(
         self, states: list[_WalkerState], gen: int, tau: float, ion_charge: float
-    ) -> list[dict]:
+    ) -> tuple[list[float], int, int]:
+        # A fault at generation g fires on that generation's propagate,
+        # never on the initial measurement pass.
         self._arm_faults(gen)
-        return self._scatter(
-            states, "propagate", tau, ion_charge, self._step_mode
-        )
+        return super().propagate(states, gen, tau, ion_charge)
 
     def generation_end(
         self, gen: int, states: list[_WalkerState], seconds: float
@@ -181,12 +176,13 @@ def run_dmc_supervised(
     """Sharded DMC under a :class:`~repro.fleet.supervisor.FleetSupervisor`.
 
     Accepts everything :func:`repro.parallel.run_dmc_sharded` does plus
-    the supervision policy (``fleet``) and an optional chaos
-    ``injector`` whose scheduled process faults are armed at their
-    target generations.  Traces are bit-identical to the unsupervised
-    (and the sequential) run — across worker crashes, hangs, elastic
-    resizes and rebalances — and checkpoints interoperate both ways
-    (same ``dmc-sharded`` contract).
+    the supervision policy (``fleet``, default ``FleetConfig()``) and an
+    optional chaos ``injector`` whose scheduled process faults are armed
+    at their target generations; it is that driver's walker split with
+    the supervised executor.  Traces are bit-identical to the
+    unsupervised (and the sequential) run — across worker crashes,
+    hangs, elastic resizes and rebalances — and checkpoints interoperate
+    both ways (same ``dmc-sharded`` contract).
 
     The supervision outcome lands on ``result.fleet`` (restart /
     rebalance / scale counts, MTTR samples, final worker count) and, when
@@ -194,40 +190,21 @@ def run_dmc_supervised(
     resolves through the spec's :class:`~repro.config.RunConfig`, then
     ``REPRO_STEP_MODE``.
     """
-    from repro.config import effective_step_mode
-
-    step_mode = effective_step_mode(step_mode, spec.config)
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
-    fleet = fleet or FleetConfig()
-    table = solve_spec_table(spec)
-    shared = SharedTable.create(pad_table_3d(table))
-    table_spec = dict(shared.spec, n_workers=n_workers)
-    try:
-        with FleetSupervisor(
-            n_workers,
-            _init_dmc_shard,
-            (spec, table_spec),
-            config=fleet,
-            stateful=False,
-            start_method=start_method,
-        ) as supervisor:
-            return _run_dmc_loop(
-                _FleetExecutor(supervisor, step_mode, injector),
-                spec,
-                n_generations=n_generations,
-                tau=tau,
-                target_population=target_population,
-                feedback=feedback,
-                max_population_factor=max_population_factor,
-                ion_charge=ion_charge,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=checkpoint_path,
-                resume=resume,
-                guard=guard,
-            )
-    finally:
-        shared.close()
-        shared.unlink()
+    return run_dmc_sharded(
+        spec,
+        n_workers=n_workers,
+        n_generations=n_generations,
+        tau=tau,
+        target_population=target_population,
+        feedback=feedback,
+        max_population_factor=max_population_factor,
+        ion_charge=ion_charge,
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        guard=guard,
+        start_method=start_method,
+        step_mode=step_mode,
+        fleet=fleet or FleetConfig(),
+        injector=injector,
+    )

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import effective_step_mode
 from repro.core.coeffs import pad_table_3d, solve_coefficients_3d
 from repro.core.grid import Grid3D
 from repro.core.layout_fused import BsplineFused
@@ -363,12 +364,7 @@ def run_crowd_sequential(
     if table is None:
         table = solve_spec_table(spec)
     spec = spec.resolved(table.dtype)
-    if step_mode is None:
-        step_mode = spec.config.step_mode
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
+    step_mode = effective_step_mode(step_mode, spec.config)
     wfs, rngs = build_walker_range(spec, table, 0, spec.n_walkers)
     crowd = Crowd(wfs, rngs)
     t0 = time.perf_counter()
@@ -525,14 +521,7 @@ def run_crowd_parallel(
                     "fault injectors target walker shards; orbital replicas "
                     "take faults via OrbitalEvaluator.arm_fault instead"
                 )
-            if step_mode is None:
-                from repro.config import effective_step_mode
-
-                step_mode = effective_step_mode(step_mode, spec.config)
-            if step_mode not in ("batched", "walker"):
-                raise ValueError(
-                    f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-                )
+            step_mode = effective_step_mode(step_mode, spec.config)
             return _run_crowd_orbital(
                 spec,
                 n_workers,
@@ -548,12 +537,7 @@ def run_crowd_parallel(
     # already carries concrete chunk/tile ints and never consult their
     # own env or tuning DB for the blocking decision.
     spec = spec.resolved(table.dtype)
-    if step_mode is None:
-        step_mode = spec.config.step_mode
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
+    step_mode = effective_step_mode(step_mode, spec.config)
     # Pad once in the parent: workers then attach the ghost halo
     # zero-copy instead of each paying the pad copy themselves.
     shared = SharedTable.create(pad_table_3d(table))

@@ -1,39 +1,47 @@
-"""Sharded DMC: propagation in worker processes, branching in the parent.
+"""Sharded DMC: the executors that run the DMC loop over walker arrays.
 
-The DMC generation loop splits naturally at the paper's three stages:
-drift-diffusion and measurement touch only per-walker state (workers),
-while branching and population control are global decisions (parent).
-This driver keeps the *authoritative* population in the parent as plain
-arrays — positions, exact RNG bit-generator states, last local energy —
-and ships each generation's shard to persistent workers that hold the
-heavy wavefunction machinery (shared coefficient table, Slater-Jastrow
-templates) and never pickle it back.
+The one DMC generation loop (:func:`repro.qmc.dmc._run_dmc_loop`) splits
+naturally at the paper's three stages: drift-diffusion and measurement
+touch only per-walker state, while branching and population control are
+global decisions the loop makes in the parent.  The executors here keep
+the *authoritative* population in the parent as plain arrays —
+positions, exact RNG stream, last local energy — and hand each
+generation's walkers to code that holds the heavy wavefunction
+machinery (shared coefficient table, Slater-Jastrow templates) and never
+pickles it back:
 
-Workers rebuild derived state with ``recompute()`` before every sweep,
-so a walker's trajectory is a pure function of its (positions, ions,
-rng-state) triple.  Two consequences the tests pin down:
+* :class:`_PoolExecutor` ships contiguous shards to persistent worker
+  processes;
+* :class:`_OrbitalExecutor` (Opt C) propagates the whole population in
+  the parent and fans each batched kernel call along the spline axis;
+* the supervised, elastic, rebalancing executor in :mod:`repro.fleet.dmc`
+  shards by sticky home under a supervisor.
+
+All three share :class:`_ArrayExecutor`, and its shards rebuild derived
+state with ``recompute()`` before every sweep, so a walker's trajectory
+is a pure function of its (positions, ions, rng-state) triple.  Two
+consequences the tests pin down:
 
 * **worker-count invariance** — the run is bit-identical for any
-  ``n_workers`` (sharding is contiguous, gathering ordered, branching
-  draws come from per-walker streams and a parent-side clone pool);
-* **cadence-free resume** — unlike :func:`repro.qmc.dmc.run_dmc` (whose
-  checkpoints recompute mid-run state), checkpoint/resume here is
-  bit-identical to the uninterrupted run at *any* ``checkpoint_every``,
-  and a resumed run may even use a different worker count.
+  ``n_workers`` and either split (sharding is contiguous, gathering
+  ordered, branching draws come from per-walker streams and a
+  parent-side clone pool);
+* **cadence-free resume** — unlike the in-process executor behind
+  :func:`repro.qmc.dmc.run_dmc` (whose checkpoints recompute mid-run
+  state), checkpoint/resume here is bit-identical to the uninterrupted
+  run at *any* ``checkpoint_every``, and a resumed run may even use a
+  different worker count.
 
 A third consequence powers :mod:`repro.fleet`: because the parent's
 walker arrays *are* the in-memory checkpoint, a worker that crashes or
 hangs mid-generation loses nothing — restart it, re-ship its tasks,
-and the generation replays bit-identically.  The generation loop is
-therefore factored over an **executor** protocol: the plain
-:class:`_PoolExecutor` here (contiguous shards, bare pool) and the
-supervised, elastic, rebalancing executor in :mod:`repro.fleet.dmc`
-run the *same* loop and produce the same traces.
+and the generation replays bit-identically.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,24 +54,15 @@ from repro.parallel.pool import ProcessCrowdPool
 from repro.parallel.sharding import shard_slices, walker_rng
 from repro.parallel.shared_table import SharedTable
 from repro.qmc.batched_step import CrowdState, batched_sweep
-from repro.qmc.dmc import DmcResult
+from repro.qmc.dmc import DmcResult, _Executor, _run_dmc_loop
 from repro.qmc.drift_diffusion import sweep
 from repro.qmc.estimators import LocalEnergy
 from repro.qmc.particleset import ParticleSet
 from repro.qmc.rng import WalkerRngPool
-from repro.resilience.checkpoint import (
-    CheckpointError,
-    has_checkpoint,
-    load_checkpoint,
-    restore_rng,
-    rng_state,
-    save_checkpoint,
-)
-from repro.resilience.guards import GuardConfig, GuardViolation, PopulationGuard
+from repro.resilience.checkpoint import restore_rng, rng_state
+from repro.resilience.guards import GuardConfig
 
 __all__ = ["run_dmc_sharded"]
-
-_CHECKPOINT_KIND = "dmc-sharded"
 
 
 @dataclass
@@ -79,7 +78,7 @@ class _WalkerState:
 
     positions: np.ndarray
     ion_positions: np.ndarray
-    rng_state: dict
+    rng: np.random.Generator
     e_local: float = 0.0
     home: int = -1
 
@@ -88,7 +87,7 @@ class _WalkerState:
         return _WalkerState(
             positions=self.positions.copy(),
             ion_positions=self.ion_positions.copy(),
-            rng_state=rng_state(rng),
+            rng=rng,
             e_local=self.e_local,
             home=self.home,
         )
@@ -97,7 +96,7 @@ class _WalkerState:
         return {
             "positions": self.positions,
             "ion_positions": self.ion_positions,
-            "rng_state": self.rng_state,
+            "rng_state": rng_state(self.rng),
         }
 
 
@@ -113,10 +112,11 @@ class _DmcShard:
     def __init__(self, worker_id: int, spec: CrowdSpec, table_spec: dict):
         self._spec = spec
         self._table = SharedTable.attach(table_spec)
+        self._array = self._table.array
         # Template 0 doubles as the structural prototype; templates use a
         # fixed arbitrary configuration stream (walker 0's) — every task
         # overwrites positions before any physics runs.
-        self._wfs, _ = build_walker_range(spec, self._table.array, 0, 1)
+        self._wfs, _ = build_walker_range(spec, self._array, 0, 1)
         # Every template shares template 0's orbital set so the shard's
         # tasks form ONE crowd for the batched step (walkers only batch
         # together when they share the orbital-set object).
@@ -125,7 +125,7 @@ class _DmcShard:
     def _template(self, i: int):
         while len(self._wfs) <= i:
             wfs, _ = build_walker_range(
-                self._spec, self._table.array, 0, 1, spos=self._spos
+                self._spec, self._array, 0, 1, spos=self._spos
             )
             self._wfs.append(wfs[0])
         return self._wfs[i]
@@ -197,7 +197,7 @@ class _DmcShard:
         return out
 
     def close(self) -> None:
-        self._wfs = None
+        self._wfs = self._array = None
         try:
             self._table.close()
         except BufferError:
@@ -223,64 +223,8 @@ class _LocalDmcShard(_DmcShard):
         self._wfs, _ = build_walker_range(spec, table, 0, 1)
         self._spos = self._wfs[0].slater.spos
 
-    def _template(self, i: int):
-        while len(self._wfs) <= i:
-            wfs, _ = build_walker_range(
-                self._spec, self._array, 0, 1, spos=self._spos
-            )
-            self._wfs.append(wfs[0])
-        return self._wfs[i]
-
     def close(self) -> None:
         self._wfs = None
-
-
-class _OrbitalExecutor:
-    """Opt C executor: population in the parent, kernels fanned.
-
-    Trace-affecting work is identical to the pool executors — the same
-    ``measure``/``propagate`` physics over the same task triples, just
-    computed through orbital-block fan-out (bit-gated, so bit-identical
-    to any walker sharding).  ``summary()`` surfaces the split and, when
-    supervised, the fleet recovery counters.
-    """
-
-    def __init__(
-        self, shard: _LocalDmcShard, fanned, step_mode: str, n_workers: int
-    ):
-        self._shard = shard
-        self._fanned = fanned
-        self._step_mode = step_mode
-        self._n_workers = n_workers
-
-    def measure(self, states: list[_WalkerState], ion_charge: float) -> list[float]:
-        return self._shard.measure([s.task() for s in states], ion_charge)
-
-    def propagate(
-        self, states: list[_WalkerState], gen: int, tau: float, ion_charge: float
-    ) -> list[dict]:
-        return self._shard.propagate(
-            [s.task() for s in states], tau, ion_charge, self._step_mode
-        )
-
-    def generation_end(
-        self, gen: int, states: list[_WalkerState], seconds: float
-    ) -> None:
-        pass
-
-    def finish(self) -> None:
-        self._shard.close()
-
-    def summary(self) -> dict | None:
-        out = {
-            "split": "orbitals",
-            "orbital_shards": self._fanned.n_blocks,
-            "n_workers": self._n_workers,
-        }
-        fleet = self._fanned.fleet
-        if fleet is not None:
-            out.update(fleet)
-        return out
 
 
 def _initial_population(spec: CrowdSpec) -> list[_WalkerState]:
@@ -300,271 +244,224 @@ def _initial_population(spec: CrowdSpec) -> list[_WalkerState]:
             _WalkerState(
                 positions=electrons.positions.copy(),
                 ion_positions=ion_positions,
-                rng_state=rng_state(walker_rng(spec.seed, w, stream=1)),
+                rng=walker_rng(spec.seed, w, stream=1),
             )
         )
     return states
 
 
-def _scatter(pool: ProcessCrowdPool, states: list[_WalkerState], method: str, *args):
-    """Shard ``states`` contiguously, run ``method`` on each shard, and
-    gather results back in walker order."""
-    slices = shard_slices(len(states), pool.n_workers)
-    per_worker = [([s.task() for s in states[sl.start : sl.stop]], *args) for sl in slices]
-    shards = pool.call(method, per_worker)
-    merged = []
-    for shard in shards:
-        merged.extend(shard)
-    return merged
+class _ArrayExecutor(_Executor):
+    """What the sharded executors share: a parent-side population of
+    :class:`_WalkerState` arrays built from the spec, and shards that
+    rebuild every walker from its task before using it — so the
+    ``"recompute"`` policy has nothing further to rebuild and drops.
 
+    Subclasses supply ``_call(states, method, *args)``, which runs a
+    :class:`_DmcShard` method over the states' tasks and returns the
+    results in walker order.
+    """
 
-class _PoolExecutor:
-    """The plain executor: contiguous shards over an unsupervised pool."""
+    kind = "dmc-sharded"
 
-    def __init__(self, pool: ProcessCrowdPool, step_mode: str):
-        self._pool = pool
+    def __init__(self, spec: CrowdSpec, step_mode: str):
+        self._spec = spec
         self._step_mode = step_mode
+        self.n_walkers = spec.n_walkers
+
+    def system(self) -> dict:
+        # The physical system is part of the checkpoint contract; the
+        # worker count deliberately is not (resume with any n_workers).
+        spec = self._spec
+        return {
+            "spec": {
+                "n_walkers": spec.n_walkers,
+                "n_orbitals": spec.n_orbitals,
+                "box": spec.box,
+                "grid_shape": list(spec.grid_shape),
+                "engine": spec.engine,
+                "seed": spec.seed,
+            }
+        }
+
+    def _call(self, states: list[_WalkerState], method: str, *args) -> list:
+        raise NotImplementedError
+
+    def initial(self) -> list[_WalkerState]:
+        return _initial_population(self._spec)
 
     def measure(self, states: list[_WalkerState], ion_charge: float) -> list[float]:
-        return _scatter(self._pool, states, "measure", ion_charge)
+        return self._call(states, "measure", ion_charge)
 
     def propagate(
         self, states: list[_WalkerState], gen: int, tau: float, ion_charge: float
-    ) -> list[dict]:
-        return _scatter(
-            self._pool, states, "propagate", tau, ion_charge, self._step_mode
+    ) -> tuple[list[float], int, int]:
+        results = self._call(states, "propagate", tau, ion_charge, self._step_mode)
+        accepted = attempted = 0
+        for s, r in zip(states, results):
+            s.positions = r["positions"]
+            s.rng = restore_rng(r["rng_state"])
+            accepted += r["accepted"]
+            attempted += r["attempted"]
+        return [r["e_local"] for r in results], accepted, attempted
+
+    def snapshot(self, states: list[_WalkerState]) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            np.stack([s.positions for s in states]),
+            np.stack([s.ion_positions for s in states]),
         )
 
-    def generation_end(
-        self, gen: int, states: list[_WalkerState], seconds: float
-    ) -> None:
-        pass
+    def restore(self, positions, ion_positions, rngs) -> list[_WalkerState]:
+        return [
+            _WalkerState(
+                positions=positions[i].copy(),
+                ion_positions=ion_positions[i].copy(),
+                rng=rng,
+            )
+            for i, rng in enumerate(rngs)
+        ]
+
+
+class _PoolExecutor(_ArrayExecutor):
+    """The plain executor: contiguous shards over an unsupervised pool."""
+
+    def __init__(self, spec: CrowdSpec, step_mode: str, pool: ProcessCrowdPool):
+        super().__init__(spec, step_mode)
+        self._pool = pool
+
+    def _call(self, states: list[_WalkerState], method: str, *args) -> list:
+        slices = shard_slices(len(states), self._pool.n_workers)
+        per_worker = [
+            ([s.task() for s in states[sl.start : sl.stop]], *args) for sl in slices
+        ]
+        merged = []
+        for shard in self._pool.call(method, per_worker):
+            merged.extend(shard)
+        return merged
 
     def finish(self) -> None:
         self._pool.merge_metrics()
 
-    def summary(self) -> dict | None:
-        return None
 
+class _OrbitalExecutor(_ArrayExecutor):
+    """Opt C executor: population in the parent, kernels fanned.
 
-def _run_dmc_loop(
-    executor,
-    spec: CrowdSpec,
-    *,
-    n_generations: int,
-    tau: float,
-    target_population: int | None,
-    feedback: float,
-    max_population_factor: int,
-    ion_charge: float,
-    checkpoint_every: int | None,
-    checkpoint_path,
-    resume,
-    guard: GuardConfig | None,
-) -> DmcResult:
-    """The shared DMC generation loop, parameterized by an executor.
-
-    The executor provides ``measure(states, ion_charge)``,
-    ``propagate(states, gen, tau, ion_charge)`` (results in global
-    walker order), ``generation_end(gen, states, seconds)`` (scheduling
-    hook — heartbeats, autoscaling), ``finish()`` and ``summary()``.
-    Everything trace-affecting lives *here*, which is why the plain and
-    the supervised executors are bit-identical by construction.
-
-    ``resume="auto"`` resumes from ``checkpoint_path`` when a complete
-    checkpoint exists there and starts fresh otherwise — the idiom for
-    restart-in-a-loop deployments.
+    Trace-affecting work is identical to the pool executors — the same
+    ``measure``/``propagate`` physics over the same task triples, just
+    computed through orbital-block fan-out (bit-gated, so bit-identical
+    to any walker sharding).  ``summary()`` surfaces the split and, when
+    supervised, the fleet recovery counters.
     """
-    if n_generations <= 0:
-        raise ValueError(f"n_generations must be positive, got {n_generations}")
-    if checkpoint_every is not None:
-        if checkpoint_every <= 0:
-            raise ValueError(
-                f"checkpoint_every must be positive, got {checkpoint_every}"
-            )
-        if checkpoint_path is None:
-            raise ValueError("checkpoint_every requires checkpoint_path")
-    if isinstance(resume, str) and resume == "auto":
-        if checkpoint_path is None:
-            raise ValueError("resume='auto' requires checkpoint_path")
-        resume = checkpoint_path if has_checkpoint(checkpoint_path) else None
-    target = target_population or spec.n_walkers
-    params = {
-        "tau": tau,
-        "target_population": target,
-        "feedback": feedback,
-        "max_population_factor": max_population_factor,
-        "ion_charge": ion_charge,
-        # The physical system is part of the contract; the worker count
-        # deliberately is not (resume with any n_workers).
-        "spec": {
-            "n_walkers": spec.n_walkers,
-            "n_orbitals": spec.n_orbitals,
-            "box": spec.box,
-            "grid_shape": list(spec.grid_shape),
-            "engine": spec.engine,
-            "seed": spec.seed,
-        },
-    }
-    energy_policy = guard.on_nonfinite_energy if guard is not None else "ignore"
-    pop_guard = PopulationGuard(target, max_population_factor)
-    clone_pool = WalkerRngPool(spec.seed)
-    dropped = 0
 
-    def keep(e_local: float) -> bool:
-        """Apply the non-finite-energy policy; True keeps the walker."""
-        nonlocal dropped
-        if np.isfinite(e_local) or energy_policy == "ignore":
-            return True
-        OBS.count("guard_trips_total", kind="nonfinite_energy", driver="dmc-sharded")
-        OBS.event("guard:nonfinite_energy", cat="guard", driver="dmc-sharded")
-        if energy_policy == "raise":
-            raise GuardViolation(
-                f"non-finite local energy {e_local!r} "
-                f"(policy 'raise'; use 'drop' to continue)"
-            )
-        dropped += 1  # "drop" and "recompute" (see run_dmc_sharded docstring)
-        return False
+    def __init__(
+        self,
+        spec: CrowdSpec,
+        step_mode: str,
+        shard: _LocalDmcShard,
+        fanned,
+        n_workers: int,
+    ):
+        super().__init__(spec, step_mode)
+        self._shard = shard
+        self._fanned = fanned
+        self._n_workers = n_workers
 
-    if resume is not None:
-        ckpt = load_checkpoint(resume, expect_kind=_CHECKPOINT_KIND)
-        saved = ckpt.manifest["params"]
-        for key in params:
-            if saved.get(key) != params[key]:
-                raise CheckpointError(
-                    f"checkpoint parameter mismatch for {key!r}: "
-                    f"saved {saved.get(key)!r}, requested {params[key]!r}"
+    def _call(self, states: list[_WalkerState], method: str, *args) -> list:
+        return getattr(self._shard, method)([s.task() for s in states], *args)
+
+    def finish(self) -> None:
+        self._shard.close()
+
+    def summary(self) -> dict | None:
+        out = {
+            "split": "orbitals",
+            "orbital_shards": self._fanned.n_blocks,
+            "n_workers": self._n_workers,
+        }
+        fleet = self._fanned.fleet
+        if fleet is not None:
+            out.update(fleet)
+        return out
+
+
+@contextmanager
+def _open_executor(
+    spec: CrowdSpec,
+    n_workers: int,
+    step_mode: str,
+    *,
+    split: str,
+    orbital_shards: int | None,
+    fleet,
+    injector,
+    start_method: str | None,
+):
+    """Start what the chosen split needs, yield its executor, tear down.
+
+    The one place the sharded drivers resolve the split, share the
+    coefficient table and start (supervised) workers.
+    """
+    if split != "walkers" or orbital_shards is not None:
+        from repro.parallel.orbital import OrbitalEvaluator, resolve_split
+
+        mode, shards = resolve_split(
+            spec.n_walkers,
+            n_workers,
+            spec.n_orbitals,
+            split=split,
+            orbital_shards=orbital_shards,
+            config=spec.run_config(),
+        )
+        if mode == "orbitals":
+            if injector is not None:
+                raise ValueError(
+                    "fault injectors target walker shards; orbital replicas "
+                    "take faults via OrbitalEvaluator.arm_fault instead"
                 )
-        n_saved = int(ckpt.manifest["n_walkers"])
-        states = [
-            _WalkerState(
-                positions=ckpt.arrays["positions"][i].copy(),
-                ion_positions=ckpt.arrays["ion_positions"][i].copy(),
-                rng_state=ckpt.manifest["walker_rng_states"][i],
-                e_local=float(ckpt.arrays["e_local"][i]),
+            table = solve_spec_table(spec)
+            spec = spec.resolved(table.dtype)
+            shard = _LocalDmcShard(spec, table)
+            fanned = OrbitalEvaluator(
+                shard._spos.grid,
+                shard._spos.engine.P,
+                config=spec.config,
+                processes=n_workers,
+                orbital_shards=shards,
+                supervise=fleet is not None,
+                fleet_config=fleet,
+                start_method=start_method,
             )
-            for i in range(n_saved)
-        ]
-        clone_pool = WalkerRngPool.from_state(ckpt.manifest["pool_state"])
-        start_gen = int(ckpt.manifest["generation"])
-        e_trial = float(ckpt.arrays["e_trial"])
-        accepted = int(ckpt.manifest["accepted"])
-        attempted = int(ckpt.manifest["attempted"])
-        energy_trace = list(ckpt.arrays["energy_trace"])
-        pop_trace = [int(p) for p in ckpt.arrays["population_trace"]]
-        et_trace = list(ckpt.arrays["e_trial_trace"])
-    else:
-        states = _initial_population(spec)
-        energies = executor.measure(states, ion_charge)
-        healthy = []
-        for s, e in zip(states, energies):
-            s.e_local = e
-            if keep(e):
-                healthy.append(s)
-        if not healthy:
-            raise GuardViolation("no walker with finite local energy at start")
-        states = healthy
-        e_trial = float(np.mean([s.e_local for s in states]))
-        start_gen = 0
-        accepted = attempted = 0
-        energy_trace, pop_trace, et_trace = [], [], []
+            shard._spos._batched = fanned
+            try:
+                yield _OrbitalExecutor(spec, step_mode, shard, fanned, n_workers)
+            finally:
+                fanned.close()
+            return
+    if injector is not None and fleet is None:
+        raise ValueError(
+            "injector requires fleet supervision (pass fleet=FleetConfig(...))"
+        )
+    # Pad in the parent so every worker attaches the ghost halo
+    # zero-copy (build_walker_range detects the padded shape).
+    with SharedTable.create(pad_table_3d(solve_spec_table(spec))) as shared:
+        init_args = (spec, dict(shared.spec, n_workers=n_workers))
+        if fleet is None:
+            with ProcessCrowdPool(
+                n_workers, _init_dmc_shard, init_args, start_method=start_method
+            ) as pool:
+                yield _PoolExecutor(spec, step_mode, pool)
+        else:
+            from repro.fleet.dmc import _FleetExecutor
+            from repro.fleet.supervisor import FleetSupervisor
 
-    for gen in range(start_gen, n_generations):
-        t_gen = time.perf_counter()
-        results = executor.propagate(states, gen, tau, ion_charge)
-        weights: list[float | None] = []
-        for s, r in zip(states, results):
-            e_old = s.e_local
-            s.positions = r["positions"]
-            s.rng_state = r["rng_state"]
-            s.e_local = r["e_local"]
-            accepted += r["accepted"]
-            attempted += r["attempted"]
-            if not keep(s.e_local):
-                weights.append(None)
-                continue
-            weights.append(
-                float(np.exp(-tau * (0.5 * (s.e_local + e_old) - e_trial)))
-            )
-        new_states: list[_WalkerState] = []
-        cap = pop_guard.cap
-        for s, wt in zip(states, weights):
-            if wt is None:
-                continue
-            # The branching uniform comes from the walker's own
-            # stream (as in run_dmc), restored parent-side.
-            rng = restore_rng(s.rng_state)
-            n_copies = int(wt + rng.random())
-            s.rng_state = rng_state(rng)
-            for c in range(n_copies):
-                if len(new_states) >= cap:
-                    break
-                if c == 0:
-                    new_states.append(s)
-                else:
-                    new_states.append(s.clone(clone_pool.next_rng()))
-                    OBS.count("dmc_branch_clones_total")
-        states = pop_guard.enforce(new_states, states, clone_pool)
-        e_est = float(np.mean([s.e_local for s in states]))
-        e_trial = e_est - feedback * np.log(len(states) / target)
-        energy_trace.append(e_est)
-        pop_trace.append(len(states))
-        et_trace.append(e_trial)
-        dt = time.perf_counter() - t_gen
-        if OBS.enabled:
-            OBS.count("dmc_generations_total")
-            OBS.observe("dmc_generation_seconds", dt)
-            OBS.gauge("dmc_population", len(states))
-            OBS.gauge("dmc_e_trial", e_trial)
-            OBS.complete(
-                "dmc:generation",
-                t_gen,
-                dt,
-                cat="qmc",
-                generation=gen,
-                population=len(states),
-            )
-        if checkpoint_every is not None and (gen + 1) % checkpoint_every == 0:
-            save_checkpoint(
-                checkpoint_path,
-                {
-                    "kind": _CHECKPOINT_KIND,
-                    "generation": gen + 1,
-                    "accepted": accepted,
-                    "attempted": attempted,
-                    "n_walkers": len(states),
-                    "pool_state": clone_pool.state,
-                    "walker_rng_states": [s.rng_state for s in states],
-                    "params": params,
-                },
-                {
-                    "positions": np.stack([s.positions for s in states]),
-                    "ion_positions": np.stack(
-                        [s.ion_positions for s in states]
-                    ),
-                    "e_local": np.asarray(
-                        [s.e_local for s in states], dtype=np.float64
-                    ),
-                    "e_trial": np.asarray(e_trial, dtype=np.float64),
-                    "energy_trace": np.asarray(energy_trace, dtype=np.float64),
-                    "population_trace": np.asarray(pop_trace, dtype=np.int64),
-                    "e_trial_trace": np.asarray(et_trace, dtype=np.float64),
-                },
-            )
-        # Scheduling hook (heartbeats, rebalance accounting, autoscale)
-        # runs after all trace-affecting work for the generation.
-        executor.generation_end(gen, states, dt)
-    executor.finish()
-    return DmcResult(
-        energy_trace=np.asarray(energy_trace),
-        population_trace=np.asarray(pop_trace),
-        e_trial_trace=np.asarray(et_trace),
-        acceptance=accepted / max(attempted, 1),
-        rescues=pop_guard.rescues,
-        truncations=pop_guard.truncations,
-        dropped_walkers=dropped,
-        fleet=executor.summary(),
-    )
+            with FleetSupervisor(
+                n_workers,
+                _init_dmc_shard,
+                init_args,
+                config=fleet,
+                stateful=False,
+                start_method=start_method,
+            ) as supervisor:
+                yield _FleetExecutor(spec, step_mode, supervisor, injector)
 
 
 def run_dmc_sharded(
@@ -607,10 +504,10 @@ def run_dmc_sharded(
     contract.  ``resume="auto"`` resumes from ``checkpoint_path`` if a
     checkpoint exists there, else starts fresh.
 
-    Passing a :class:`repro.fleet.FleetConfig` as ``fleet`` delegates to
-    :func:`repro.fleet.run_dmc_supervised`: the same loop under a
-    supervisor with crash/hang recovery, optional elastic scaling and
-    shard rebalancing — still bit-identical.  ``injector`` (a
+    Passing a :class:`repro.fleet.FleetConfig` as ``fleet`` runs the
+    same loop under a supervisor (:func:`repro.fleet.run_dmc_supervised`)
+    with crash/hang recovery, optional elastic scaling and shard
+    rebalancing — still bit-identical.  ``injector`` (a
     :class:`~repro.resilience.faults.FaultInjector` carrying process
     faults) requires ``fleet``.
 
@@ -626,64 +523,19 @@ def run_dmc_sharded(
     from repro.config import effective_step_mode
 
     step_mode = effective_step_mode(step_mode, spec.config)
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
-    if split != "walkers" or orbital_shards is not None:
-        from repro.parallel.orbital import OrbitalEvaluator, resolve_split
-
-        mode, shards = resolve_split(
-            spec.n_walkers,
-            n_workers,
-            spec.n_orbitals,
-            split=split,
-            orbital_shards=orbital_shards,
-            config=spec.run_config(),
-        )
-        if mode == "orbitals":
-            if injector is not None:
-                raise ValueError(
-                    "fault injectors target walker shards; orbital replicas "
-                    "take faults via OrbitalEvaluator.arm_fault instead"
-                )
-            table = solve_spec_table(spec)
-            spec = spec.resolved(table.dtype)
-            shard = _LocalDmcShard(spec, table)
-            fanned = OrbitalEvaluator(
-                shard._spos.grid,
-                shard._spos.engine.P,
-                config=spec.config,
-                processes=n_workers,
-                orbital_shards=shards,
-                supervise=fleet is not None,
-                fleet_config=fleet,
-                start_method=start_method,
-            )
-            shard._spos._batched = fanned
-            try:
-                return _run_dmc_loop(
-                    _OrbitalExecutor(shard, fanned, step_mode, n_workers),
-                    spec,
-                    n_generations=n_generations,
-                    tau=tau,
-                    target_population=target_population,
-                    feedback=feedback,
-                    max_population_factor=max_population_factor,
-                    ion_charge=ion_charge,
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_path=checkpoint_path,
-                    resume=resume,
-                    guard=guard,
-                )
-            finally:
-                fanned.close()
-    if fleet is not None:
-        from repro.fleet.dmc import run_dmc_supervised
-
-        return run_dmc_supervised(
-            spec,
-            n_workers=n_workers,
+    with _open_executor(
+        spec,
+        n_workers,
+        step_mode,
+        split=split,
+        orbital_shards=orbital_shards,
+        fleet=fleet,
+        injector=injector,
+        start_method=start_method,
+    ) as executor:
+        return _run_dmc_loop(
+            executor,
+            WalkerRngPool(spec.seed),
             n_generations=n_generations,
             tau=tau,
             target_population=target_population,
@@ -694,41 +546,4 @@ def run_dmc_sharded(
             checkpoint_path=checkpoint_path,
             resume=resume,
             guard=guard,
-            start_method=start_method,
-            step_mode=step_mode,
-            fleet=fleet,
-            injector=injector,
         )
-    if injector is not None:
-        raise ValueError(
-            "injector requires fleet supervision (pass fleet=FleetConfig(...))"
-        )
-    table = solve_spec_table(spec)
-    # Pad in the parent so every worker attaches the ghost halo
-    # zero-copy (build_walker_range detects the padded shape).
-    shared = SharedTable.create(pad_table_3d(table))
-    table_spec = dict(shared.spec, n_workers=n_workers)
-    try:
-        with ProcessCrowdPool(
-            n_workers,
-            _init_dmc_shard,
-            (spec, table_spec),
-            start_method=start_method,
-        ) as pool:
-            return _run_dmc_loop(
-                _PoolExecutor(pool, step_mode),
-                spec,
-                n_generations=n_generations,
-                tau=tau,
-                target_population=target_population,
-                feedback=feedback,
-                max_population_factor=max_population_factor,
-                ion_charge=ion_charge,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=checkpoint_path,
-                resume=resume,
-                guard=guard,
-            )
-    finally:
-        shared.close()
-        shared.unlink()

@@ -191,10 +191,6 @@ def run_vmc_population(
     from repro.config import effective_step_mode
 
     step_mode = effective_step_mode(step_mode, spec.config)
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
     if injector is not None and fleet is None:
         raise ValueError(
             "injector requires fleet supervision (pass fleet=FleetConfig(...))"

@@ -1,32 +1,45 @@
-"""Diffusion Monte Carlo driver with drift-diffusion, measurement, branching.
+"""Diffusion Monte Carlo: one generation loop, four executors.
 
 Paper Sec. III describes the three stages per generation this module
 implements: "(i) a drift-diffusion process ... (ii) a measurement stage
 ... (iii) a branching process" over an ensemble of walkers, each carrying
 its own configuration ``R`` and private random stream.
 
+:func:`_run_dmc_loop` is the one implementation of that generation.  It
+owns everything that changes a trace: the non-finite-energy policy,
+branching weights and uniforms, clone streams, population guarding,
+trial-energy feedback, traces, metrics and checkpoint cadence.  An
+:class:`_Executor` owns only how walkers are handled.  Four run the loop:
+:class:`_InProcessExecutor` over live :class:`DmcWalker` objects (behind
+:func:`run_dmc`), and over parent-side walker arrays the worker-pool and
+orbital-split executors of :func:`repro.parallel.run_dmc_sharded` and
+the supervised one of :func:`repro.fleet.run_dmc_supervised`.
+
 Branching uses the standard integer-copies scheme: a walker with weight
 ``w = exp(-tau * ((E_L + E_L_old)/2 - E_T))`` produces
-``floor(w + u)`` copies (``u`` uniform), and the trial energy ``E_T`` is
-steered with a population-control feedback term so the ensemble stays
-near its target size.  Each clone receives a *fresh* random stream from
-the pool (never a copy of the parent's), keeping streams independent.
+``floor(w + u)`` copies (``u`` uniform, from the walker's own stream),
+and the trial energy ``E_T`` is steered with a population-control
+feedback term so the ensemble stays near its target size.  Each clone
+receives a *fresh* random stream from the clone pool (never a copy of
+the parent's), keeping streams independent.
 
-Fault tolerance (:mod:`repro.resilience`): the driver can write periodic
-checkpoints (walker positions, exact RNG bit-generator states, traces)
-and resume from one such that the continued run reproduces the
-uninterrupted energy/population traces **bit-for-bit**; a
-:class:`~repro.resilience.guards.GuardConfig` turns NaN/Inf local
-energies into a policy (raise / recompute / drop-and-rebranch) instead
-of silent trace poison; and population collapse or explosion is rescued
-toward the target by a
+Fault tolerance (:mod:`repro.resilience`): periodic checkpoints (walker
+positions, exact RNG bit-generator states, traces) in one format, of
+kind ``"dmc"`` in-process and ``"dmc-sharded"`` over arrays, resume such
+that the continued run reproduces the uninterrupted energy/population
+traces **bit-for-bit**; a :class:`~repro.resilience.guards.GuardConfig`
+turns NaN/Inf local energies into a policy (raise / recompute /
+drop-and-rebranch) instead of silent trace poison; and population
+collapse or explosion is rescued toward the target by a
 :class:`~repro.resilience.guards.PopulationGuard`.
 
-Bit-for-bit note: taking a checkpoint calls ``recompute()`` on every
-walker (so the in-memory derived state equals what a restore rebuilds
-from positions).  Runs compared for reproducibility must therefore share
-the same ``checkpoint_every`` cadence — which is exactly how a
-production restart compares against its own uninterrupted twin.
+Bit-for-bit note: the in-process executor keeps live derived state, so
+its checkpoint snapshot calls ``recompute()`` on every walker (so the
+in-memory state equals what a restore rebuilds from positions).
+Sequential runs compared for reproducibility must therefore share the
+same ``checkpoint_every`` cadence.  The array executors rebuild walkers
+before every sweep, so their checkpoints resume bit-identically at any
+cadence — and, for the same reason, follow a different trajectory.
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ from repro.qmc.rng import WalkerRngPool
 from repro.qmc.wavefunction import SlaterJastrow
 from repro.resilience.checkpoint import (
     CheckpointError,
+    has_checkpoint,
     load_checkpoint,
     restore_rng,
     rng_state,
@@ -119,108 +133,6 @@ class DmcResult:
         return float(np.mean(self.energy_trace[half:]))
 
 
-def _save_dmc_checkpoint(
-    path,
-    walkers: list[DmcWalker],
-    pool: WalkerRngPool,
-    generation: int,
-    e_trial: float,
-    accepted: int,
-    attempted: int,
-    traces: tuple[list, list, list],
-    params: dict,
-) -> None:
-    """Snapshot the full ensemble state after ``generation`` generations.
-
-    Every walker is ``recompute()``d first so the continuing in-memory
-    run and a future restore share identical derived state (the
-    bit-for-bit contract).
-    """
-    for w in walkers:
-        w.wf.recompute()
-    energy_trace, pop_trace, et_trace = traces
-    manifest = {
-        "kind": "dmc",
-        "generation": generation,
-        "accepted": accepted,
-        "attempted": attempted,
-        "n_walkers": len(walkers),
-        "pool_state": pool.state,
-        "walker_rng_states": [rng_state(w.rng) for w in walkers],
-        "params": params,
-    }
-    arrays = {
-        "positions": np.stack([w.wf.electrons.positions for w in walkers]),
-        # Branching clones inherit their parent's ion configuration, so a
-        # restore cannot assume template walker i still matches saved
-        # walker i — ion positions are part of the snapshot.
-        "ion_positions": np.stack([w.wf.ions.positions for w in walkers]),
-        "e_local": np.asarray([w.e_local for w in walkers], dtype=np.float64),
-        "e_trial": np.asarray(e_trial, dtype=np.float64),
-        "energy_trace": np.asarray(energy_trace, dtype=np.float64),
-        "population_trace": np.asarray(pop_trace, dtype=np.int64),
-        "e_trial_trace": np.asarray(et_trace, dtype=np.float64),
-    }
-    save_checkpoint(path, manifest, arrays)
-
-
-def _resume_dmc(
-    resume, walkers: list[DmcWalker], params: dict
-) -> tuple[list[DmcWalker], WalkerRngPool, int, float, int, int, tuple[list, list, list]]:
-    """Rebuild ensemble state from a checkpoint, reusing ``walkers`` as
-    templates for wavefunction structure (table, cell, Jastrows)."""
-    ckpt = load_checkpoint(resume, expect_kind="dmc")
-    saved = ckpt.manifest["params"]
-    for key in ("tau", "target_population", "feedback", "max_population_factor", "ion_charge"):
-        if saved.get(key) != params.get(key):
-            raise CheckpointError(
-                f"checkpoint parameter mismatch for {key!r}: "
-                f"saved {saved.get(key)!r}, requested {params.get(key)!r}"
-            )
-    if not walkers:
-        raise ValueError("resume needs at least one template walker")
-    positions = ckpt.arrays["positions"]
-    ion_positions = ckpt.arrays["ion_positions"]
-    e_locals = ckpt.arrays["e_local"]
-    states = ckpt.manifest["walker_rng_states"]
-    n_saved = int(ckpt.manifest["n_walkers"])
-    restored: list[DmcWalker] = []
-    for i in range(n_saved):
-        if i < len(walkers):
-            wf = walkers[i].wf
-        else:
-            # Extra walkers share the template's orbital set (read-only),
-            # like branching clones do.
-            spos0 = walkers[0].wf.slater.spos
-            wf = copy.deepcopy(walkers[0].wf, {id(spos0): spos0})
-        try:
-            wf.electrons.load_positions(positions[i], wrap=False)
-            wf.ions.load_positions(ion_positions[i], wrap=False)
-        except ValueError as exc:
-            raise CheckpointError(
-                f"template walker {i} does not match checkpoint shape: {exc}"
-            ) from exc
-        wf.recompute()
-        restored.append(
-            DmcWalker(wf=wf, rng=restore_rng(states[i]), e_local=float(e_locals[i]))
-        )
-    pool = WalkerRngPool.from_state(ckpt.manifest["pool_state"])
-    traces = (
-        list(ckpt.arrays["energy_trace"]),
-        [int(p) for p in ckpt.arrays["population_trace"]],
-        list(ckpt.arrays["e_trial_trace"]),
-    )
-    return (
-        restored,
-        pool,
-        int(ckpt.manifest["generation"]),
-        float(ckpt.arrays["e_trial"]),
-        int(ckpt.manifest["accepted"]),
-        int(ckpt.manifest["attempted"]),
-        traces,
-    )
-
-
 def _crowd_groups(walkers: list[DmcWalker]) -> list[list[DmcWalker]]:
     """Partition an ensemble into crowds that can step batched together.
 
@@ -243,6 +155,385 @@ def _crowd_groups(walkers: list[DmcWalker]) -> list[list[DmcWalker]]:
     return list(groups.values())
 
 
+class _Executor:
+    """How one DMC driver handles its walkers; the loop decides the rest.
+
+    Walkers of every executor expose ``rng``, ``e_local`` and
+    ``clone(rng)``.  ``kind`` names the checkpoint kind and the metrics'
+    ``driver`` label; ``n_walkers`` is the default population target.
+    """
+
+    kind: str
+    n_walkers: int
+
+    def system(self) -> dict:
+        """Identity parameters a checkpoint must match besides the physics."""
+        return {}
+
+    def initial(self) -> list:
+        """The starting population; the loop refills this list in place."""
+        raise NotImplementedError
+
+    def measure(self, walkers: list, ion_charge: float):
+        """Local energies in walker order.  May be lazy: the loop applies
+        the non-finite policy to each energy before drawing the next."""
+        raise NotImplementedError
+
+    def remeasure(self, walker, ion_charge: float) -> float | None:
+        """The energy after rebuilding the walker's derived state, or
+        ``None`` when there is nothing to rebuild (the walker is dropped)."""
+        return None
+
+    def propagate(self, walkers: list, gen: int, tau: float, ion_charge: float):
+        """One drift-diffusion sweep per walker, advancing positions and
+        streams; returns ``(energies, accepted, attempted)``."""
+        raise NotImplementedError
+
+    def snapshot(self, walkers: list) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked electron and ion positions for a checkpoint."""
+        raise NotImplementedError
+
+    def restore(self, positions, ion_positions, rngs) -> list:
+        """Walkers rebuilt from checkpointed positions and streams."""
+        raise NotImplementedError
+
+    def generation_end(self, gen: int, walkers: list, seconds: float) -> None:
+        """Runs after all trace-affecting work of a generation (hooks,
+        heartbeats, autoscaling)."""
+
+    def finish(self) -> None:
+        """Runs once after the last generation."""
+
+    def summary(self) -> dict | None:
+        """Driver outcome reported as ``DmcResult.fleet``."""
+        return None
+
+
+class _InProcessExecutor(_Executor):
+    """Live :class:`DmcWalker` objects in this process.
+
+    Wavefunction state carries over between generations: there is no
+    per-generation ``recompute()`` and no copy, only at a checkpoint
+    snapshot.  The population *is* the caller's walker list, which the
+    loop refills in place every generation.
+    """
+
+    kind = "dmc"
+
+    def __init__(
+        self, walkers: list[DmcWalker], step_mode: str, estimator_factory, on_generation
+    ):
+        self._walkers = walkers
+        self._step_mode = step_mode
+        self._factory = estimator_factory
+        self._on_generation = on_generation
+        # One estimator per walker per generation, cleared after
+        # branching (clones and survivors get fresh ones).
+        self._estimators: dict[int, object] = {}
+        self.n_walkers = len(walkers)
+
+    def _e_local(self, w: DmcWalker) -> float:
+        est = self._estimators.get(id(w))
+        if est is None:
+            est = self._estimators[id(w)] = self._factory(w)
+        return est.total()
+
+    def initial(self) -> list[DmcWalker]:
+        return self._walkers
+
+    def measure(self, walkers: list[DmcWalker], ion_charge: float):
+        # Lazy: each walker is measured only when the loop asks for its
+        # energy, so a "recompute" re-measurement lands before the next
+        # walker is measured — the call order the estimator seam sees.
+        return map(self._e_local, walkers)
+
+    def remeasure(self, w: DmcWalker, ion_charge: float) -> float:
+        # Rebuild derived state (a drifted inverse is the usual culprit)
+        # and re-measure once through a fresh estimator.
+        w.wf.recompute()
+        self._estimators.pop(id(w), None)
+        return self._e_local(w)
+
+    def propagate(self, walkers: list[DmcWalker], gen: int, tau: float, ion_charge: float):
+        accepted = attempted = 0
+        if self._step_mode == "batched":
+            # Each shared-orbital-set group advances in lock step; since
+            # every walker consumes only its private stream, the result
+            # is bit-identical to sweeping walkers one at a time.
+            for group in _crowd_groups(walkers):
+                state = CrowdState([w.wf for w in group], [w.rng for w in group])
+                acc, att = batched_sweep(state, tau)
+                accepted += acc
+                attempted += att
+        else:
+            for w in walkers:
+                acc, att = sweep(w.wf, tau, w.rng)
+                accepted += acc
+                attempted += att
+        return self.measure(walkers, ion_charge), accepted, attempted
+
+    def snapshot(self, walkers: list[DmcWalker]) -> tuple[np.ndarray, np.ndarray]:
+        # Recompute first so the continuing run and a future restore
+        # share identical derived state (the bit-for-bit contract).
+        for w in walkers:
+            w.wf.recompute()
+        return (
+            np.stack([w.wf.electrons.positions for w in walkers]),
+            # Branching clones inherit their parent's ion configuration,
+            # so ion positions are part of the snapshot.
+            np.stack([w.wf.ions.positions for w in walkers]),
+        )
+
+    def restore(self, positions, ion_positions, rngs) -> list[DmcWalker]:
+        """Load a checkpoint into the caller's walkers, which serve as
+        templates for wavefunction structure (table, cell, Jastrows)."""
+        templates = self._walkers
+        restored = []
+        for i, rng in enumerate(rngs):
+            if i < len(templates):
+                wf = templates[i].wf
+            else:
+                # Extra walkers share the template's orbital set
+                # (read-only), like branching clones do.
+                spos0 = templates[0].wf.slater.spos
+                wf = copy.deepcopy(templates[0].wf, {id(spos0): spos0})
+            try:
+                wf.electrons.load_positions(positions[i], wrap=False)
+                wf.ions.load_positions(ion_positions[i], wrap=False)
+            except ValueError as exc:
+                raise CheckpointError(
+                    f"template walker {i} does not match checkpoint shape: {exc}"
+                ) from exc
+            wf.recompute()
+            restored.append(DmcWalker(wf=wf, rng=rng))
+        templates[:] = restored
+        return templates
+
+    def generation_end(self, gen: int, walkers: list[DmcWalker], seconds: float) -> None:
+        self._estimators.clear()
+        if self._on_generation is not None:
+            self._on_generation(gen, walkers)
+
+
+def _write_dmc_checkpoint(
+    path, kind, params, executor, walkers, clone_pool, generation,
+    e_trial, accepted, attempted, traces,
+) -> None:
+    """Snapshot the full ensemble state after ``generation`` generations."""
+    positions, ion_positions = executor.snapshot(walkers)
+    energy_trace, pop_trace, et_trace = traces
+    manifest = {
+        "kind": kind,
+        "generation": generation,
+        "accepted": accepted,
+        "attempted": attempted,
+        "n_walkers": len(walkers),
+        "pool_state": clone_pool.state,
+        "walker_rng_states": [rng_state(w.rng) for w in walkers],
+        "params": params,
+    }
+    arrays = {
+        "positions": positions,
+        "ion_positions": ion_positions,
+        "e_local": np.asarray([w.e_local for w in walkers], dtype=np.float64),
+        "e_trial": np.asarray(e_trial, dtype=np.float64),
+        "energy_trace": np.asarray(energy_trace, dtype=np.float64),
+        "population_trace": np.asarray(pop_trace, dtype=np.int64),
+        "e_trial_trace": np.asarray(et_trace, dtype=np.float64),
+    }
+    save_checkpoint(path, manifest, arrays)
+
+
+def _read_dmc_checkpoint(path, kind, params):
+    """Load a checkpoint of ``kind`` whose parameters must equal ``params``."""
+    ckpt = load_checkpoint(path, expect_kind=kind)
+    saved = ckpt.manifest["params"]
+    for key in params:
+        if saved.get(key) != params[key]:
+            raise CheckpointError(
+                f"checkpoint parameter mismatch for {key!r}: "
+                f"saved {saved.get(key)!r}, requested {params[key]!r}"
+            )
+    return ckpt
+
+
+def _run_dmc_loop(
+    executor: _Executor,
+    clone_pool: WalkerRngPool,
+    *,
+    n_generations: int,
+    tau: float,
+    target_population: int | None,
+    feedback: float,
+    max_population_factor: int,
+    ion_charge: float,
+    checkpoint_every: int | None,
+    checkpoint_path,
+    resume,
+    guard: GuardConfig | None,
+) -> DmcResult:
+    """The DMC generation loop, run through an :class:`_Executor`.
+
+    Everything trace-affecting lives *here*, so executors of one family
+    produce identical traces by construction.  The population list the
+    executor hands out is refilled in place every generation.
+
+    ``resume="auto"`` resumes from ``checkpoint_path`` when a complete
+    checkpoint exists there and starts fresh otherwise — the idiom for
+    restart-in-a-loop deployments.
+    """
+    if n_generations <= 0:
+        raise ValueError(f"n_generations must be positive, got {n_generations}")
+    if checkpoint_every is not None:
+        if checkpoint_every <= 0:
+            raise ValueError(
+                f"checkpoint_every must be positive, got {checkpoint_every}"
+            )
+        if checkpoint_path is None:
+            raise ValueError("checkpoint_every requires checkpoint_path")
+    if isinstance(resume, str) and resume == "auto":
+        if checkpoint_path is None:
+            raise ValueError("resume='auto' requires checkpoint_path")
+        resume = checkpoint_path if has_checkpoint(checkpoint_path) else None
+    kind = executor.kind
+    target = target_population or executor.n_walkers
+    params = {
+        "tau": tau,
+        "target_population": target,
+        "feedback": feedback,
+        "max_population_factor": max_population_factor,
+        "ion_charge": ion_charge,
+        **executor.system(),
+    }
+    energy_policy = guard.on_nonfinite_energy if guard is not None else "ignore"
+    pop_guard = PopulationGuard(target, max_population_factor)
+    dropped = 0
+
+    def keep(w, e_local: float) -> bool:
+        """Record ``w``'s energy under the non-finite policy; True keeps it."""
+        nonlocal dropped
+        w.e_local = e_local
+        if np.isfinite(e_local) or energy_policy == "ignore":
+            return True
+        OBS.count("guard_trips_total", kind="nonfinite_energy", driver=kind)
+        OBS.event("guard:nonfinite_energy", cat="guard", driver=kind)
+        if energy_policy == "recompute":
+            e_local = executor.remeasure(w, ion_charge)
+            if e_local is not None:
+                w.e_local = e_local
+                if np.isfinite(e_local):
+                    return True
+        if energy_policy == "raise":
+            raise GuardViolation(
+                f"non-finite local energy {w.e_local!r} "
+                f"(policy 'raise'; use 'drop' or 'recompute' to continue)"
+            )
+        dropped += 1
+        return False
+
+    if resume is not None:
+        ckpt = _read_dmc_checkpoint(resume, kind, params)
+        walkers = executor.restore(
+            ckpt.arrays["positions"],
+            ckpt.arrays["ion_positions"],
+            [restore_rng(s) for s in ckpt.manifest["walker_rng_states"]],
+        )
+        for w, e in zip(walkers, ckpt.arrays["e_local"]):
+            w.e_local = float(e)
+        clone_pool = WalkerRngPool.from_state(ckpt.manifest["pool_state"])
+        start_gen = int(ckpt.manifest["generation"])
+        e_trial = float(ckpt.arrays["e_trial"])
+        accepted = int(ckpt.manifest["accepted"])
+        attempted = int(ckpt.manifest["attempted"])
+        energy_trace = list(ckpt.arrays["energy_trace"])
+        pop_trace = [int(p) for p in ckpt.arrays["population_trace"]]
+        et_trace = list(ckpt.arrays["e_trial_trace"])
+    else:
+        walkers = executor.initial()
+        energies = executor.measure(walkers, ion_charge)
+        walkers[:] = [w for w, e in zip(walkers, energies) if keep(w, e)]
+        if not walkers:
+            raise GuardViolation("no walker with finite local energy at start")
+        e_trial = float(np.mean([w.e_local for w in walkers]))
+        start_gen = 0
+        accepted = attempted = 0
+        energy_trace, pop_trace, et_trace = [], [], []
+
+    for gen in range(start_gen, n_generations):
+        t_gen = time.perf_counter()
+        # (i) drift-diffusion propagation, then (ii) measurement in
+        # walker order.
+        energies, acc, att = executor.propagate(walkers, gen, tau, ion_charge)
+        accepted += acc
+        attempted += att
+        weights: list[float | None] = []
+        for w, e in zip(walkers, energies):
+            e_old = w.e_local
+            if not keep(w, e):
+                weights.append(None)  # dropped: no branching copies at all
+                continue
+            # Branching weight from the symmetrized local energy.
+            weights.append(
+                float(np.exp(-tau * (0.5 * (w.e_local + e_old) - e_trial)))
+            )
+        # (iii) branching: integer copies floor(w + u), the uniform drawn
+        # from the walker's own stream.
+        new_walkers = []
+        cap = pop_guard.cap
+        for w, wt in zip(walkers, weights):
+            if wt is None:
+                continue
+            n_copies = int(wt + w.rng.random())
+            for c in range(n_copies):
+                if len(new_walkers) >= cap:
+                    break
+                if c == 0:
+                    new_walkers.append(w)
+                else:
+                    new_walkers.append(w.clone(clone_pool.next_rng()))
+                    OBS.count("dmc_branch_clones_total")
+        walkers[:] = pop_guard.enforce(new_walkers, walkers, clone_pool)
+        e_est = float(np.mean([w.e_local for w in walkers]))
+        # Population-control feedback on the trial energy.
+        e_trial = e_est - feedback * np.log(len(walkers) / target)
+        energy_trace.append(e_est)
+        pop_trace.append(len(walkers))
+        et_trace.append(e_trial)
+        dt = time.perf_counter() - t_gen
+        if OBS.enabled:
+            OBS.count("dmc_generations_total")
+            OBS.observe("dmc_generation_seconds", dt)
+            OBS.gauge("dmc_population", len(walkers))
+            OBS.gauge("dmc_e_trial", e_trial)
+            OBS.complete(
+                "dmc:generation",
+                t_gen,
+                dt,
+                cat="qmc",
+                generation=gen,
+                population=len(walkers),
+            )
+        if checkpoint_every is not None and (gen + 1) % checkpoint_every == 0:
+            _write_dmc_checkpoint(
+                checkpoint_path, kind, params, executor, walkers, clone_pool,
+                gen + 1, e_trial, accepted, attempted,
+                (energy_trace, pop_trace, et_trace),
+            )
+        # Runs after all trace-affecting work for the generation.
+        executor.generation_end(gen, walkers, dt)
+    executor.finish()
+    return DmcResult(
+        energy_trace=np.asarray(energy_trace),
+        population_trace=np.asarray(pop_trace),
+        e_trial_trace=np.asarray(et_trace),
+        acceptance=accepted / max(attempted, 1),
+        rescues=pop_guard.rescues,
+        truncations=pop_guard.truncations,
+        dropped_walkers=dropped,
+        fleet=executor.summary(),
+    )
+
+
 def run_dmc(
     walkers: list[DmcWalker],
     pool: WalkerRngPool,
@@ -263,6 +554,8 @@ def run_dmc(
 ) -> DmcResult:
     """Propagate a DMC ensemble; returns traces for analysis.
 
+    Runs the shared generation loop through the in-process executor.
+
     Parameters
     ----------
     walkers:
@@ -275,7 +568,7 @@ def run_dmc(
         pool when resuming).
     n_generations:
         Total DMC generations for the run (including any completed before
-        a resume point).
+        a resume point); must be positive.
     tau:
         Imaginary time step.
     target_population:
@@ -298,7 +591,9 @@ def run_dmc(
         overwritten atomically at each save.
     resume:
         Path of a checkpoint to continue from; physics parameters must
-        match the checkpointed run.
+        match the checkpointed run.  ``"auto"`` resumes from
+        ``checkpoint_path`` when a checkpoint exists there and starts
+        fresh otherwise.
     guard:
         Non-finite-energy policy
         (:class:`~repro.resilience.guards.GuardConfig`); ``None`` keeps
@@ -329,167 +624,27 @@ def run_dmc(
     from repro.config import effective_step_mode
 
     step_mode = effective_step_mode(step_mode, config)
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
     if not walkers:
         raise ValueError("need at least one walker")
-    if checkpoint_every is not None:
-        if checkpoint_every <= 0:
-            raise ValueError(
-                f"checkpoint_every must be positive, got {checkpoint_every}"
-            )
-        if checkpoint_path is None:
-            raise ValueError("checkpoint_every requires checkpoint_path")
-    target = target_population or len(walkers)
-    params = {
-        "tau": tau,
-        "target_population": target,
-        "feedback": feedback,
-        "max_population_factor": max_population_factor,
-        "ion_charge": ion_charge,
-    }
-    pop_guard = PopulationGuard(target, max_population_factor)
-    energy_policy = guard.on_nonfinite_energy if guard is not None else "ignore"
-    dropped = 0
-    estimators: dict[int, object] = {}
-    factory = estimator_factory or (lambda w: LocalEnergy(w.wf, ion_charge))
-
-    def e_local(w: DmcWalker) -> float:
-        est = estimators.get(id(w))
-        if est is None:
-            est = factory(w)
-            estimators[id(w)] = est
-        return est.total()
-
-    def measure(w: DmcWalker) -> bool:
-        """Measure ``w``; returns False if the walker must be dropped."""
-        nonlocal dropped
-        w.e_local = e_local(w)
-        if np.isfinite(w.e_local) or energy_policy == "ignore":
-            return True
-        OBS.count(
-            "guard_trips_total", kind="nonfinite_energy", driver="dmc"
-        )
-        OBS.event("guard:nonfinite_energy", cat="guard", driver="dmc")
-        if energy_policy == "recompute":
-            # Rebuild derived state (a drifted inverse is the usual
-            # culprit) and re-measure once through a fresh estimator.
-            w.wf.recompute()
-            estimators.pop(id(w), None)
-            w.e_local = e_local(w)
-            if np.isfinite(w.e_local):
-                return True
-        if energy_policy == "raise":
-            raise GuardViolation(
-                f"non-finite local energy {w.e_local!r} "
-                f"(policy 'raise'; use 'drop' or 'recompute' to continue)"
-            )
-        dropped += 1
-        return False
-
-    if resume is not None:
-        (walkers_r, pool, start_gen, e_trial, accepted, attempted, traces) = (
-            _resume_dmc(resume, walkers, params)
-        )
-        walkers[:] = walkers_r
-        energy_trace, pop_trace, et_trace = traces
-    else:
-        start_gen = 0
-        accepted = attempted = 0
-        energy_trace, pop_trace, et_trace = [], [], []
-        healthy = [w for w in walkers if measure(w)]
-        if not healthy:
-            raise GuardViolation("no walker with finite local energy at start")
-        walkers[:] = healthy
-        e_trial = float(np.mean([w.e_local for w in walkers]))
-
-    for gen in range(start_gen, n_generations):
-        t_gen = time.perf_counter() if OBS.enabled else 0.0
-        # (i) drift-diffusion propagation.  The batched mode advances
-        # each shared-orbital-set group in lock step; since every walker
-        # consumes only its private stream, the result is bit-identical
-        # to sweeping walkers one at a time.
-        if step_mode == "batched":
-            for group in _crowd_groups(walkers):
-                state = CrowdState([w.wf for w in group], [w.rng for w in group])
-                acc, att = batched_sweep(state, tau)
-                accepted += acc
-                attempted += att
-        else:
-            for w in walkers:
-                acc, att = sweep(w.wf, tau, w.rng)
-                accepted += acc
-                attempted += att
-        # (ii) measurement, in walker order.
-        weights: list[float | None] = []
-        for w in walkers:
-            e_old = w.e_local
-            if not measure(w):
-                weights.append(None)  # dropped: no branching copies at all
-                continue
-            # Branching weight from the symmetrized local energy.
-            weights.append(np.exp(-tau * (0.5 * (w.e_local + e_old) - e_trial)))
-        # (iii) branching: integer copies floor(w + u).
-        new_walkers: list[DmcWalker] = []
-        cap = pop_guard.cap
-        for w, wt in zip(walkers, weights):
-            if wt is None:
-                continue
-            n_copies = int(wt + w.rng.random())
-            for c in range(n_copies):
-                if len(new_walkers) >= cap:
-                    break
-                if c == 0:
-                    new_walkers.append(w)
-                else:
-                    new_walkers.append(w.clone(pool.next_rng()))
-                    OBS.count("dmc_branch_clones_total")
-        walkers[:] = pop_guard.enforce(new_walkers, walkers, pool)
-        estimators.clear()
-        e_est = float(np.mean([w.e_local for w in walkers]))
-        # Population-control feedback on the trial energy.
-        e_trial = e_est - feedback * np.log(len(walkers) / target)
-        energy_trace.append(e_est)
-        pop_trace.append(len(walkers))
-        et_trace.append(e_trial)
-        if OBS.enabled:
-            dt = time.perf_counter() - t_gen
-            OBS.count("dmc_generations_total")
-            OBS.observe("dmc_generation_seconds", dt)
-            OBS.gauge("dmc_population", len(walkers))
-            OBS.gauge("dmc_e_trial", e_trial)
-            OBS.complete(
-                "dmc:generation",
-                t_gen,
-                dt,
-                cat="qmc",
-                generation=gen,
-                population=len(walkers),
-            )
-        if checkpoint_every is not None and (gen + 1) % checkpoint_every == 0:
-            _save_dmc_checkpoint(
-                checkpoint_path,
-                walkers,
-                pool,
-                gen + 1,
-                e_trial,
-                accepted,
-                attempted,
-                (energy_trace, pop_trace, et_trace),
-                params,
-            )
-        if on_generation is not None:
-            on_generation(gen, walkers)
-    return DmcResult(
-        energy_trace=np.asarray(energy_trace),
-        population_trace=np.asarray(pop_trace),
-        e_trial_trace=np.asarray(et_trace),
-        acceptance=accepted / max(attempted, 1),
-        rescues=pop_guard.rescues,
-        truncations=pop_guard.truncations,
-        dropped_walkers=dropped,
+    executor = _InProcessExecutor(
+        walkers,
+        step_mode,
+        estimator_factory or (lambda w: LocalEnergy(w.wf, ion_charge)),
+        on_generation,
+    )
+    return _run_dmc_loop(
+        executor,
+        pool,
+        n_generations=n_generations,
+        tau=tau,
+        target_population=target_population,
+        feedback=feedback,
+        max_population_factor=max_population_factor,
+        ion_charge=ion_charge,
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        guard=guard,
     )
 
 

@@ -131,10 +131,6 @@ def run_vmc(
     from repro.config import effective_step_mode
 
     step_mode = effective_step_mode(step_mode, config)
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
     if checkpoint_every is not None:
         if checkpoint_every <= 0:
             raise ValueError(

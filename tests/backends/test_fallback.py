@@ -31,6 +31,7 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.backends.registry import _reset_for_tests
+from repro.config import RunConfig
 from repro.obs import OBS
 from repro.parallel.crowd import CrowdSpec, run_crowd_sequential
 
@@ -111,7 +112,7 @@ def test_worker_fallback_matches_numpy_bitwise(no_compilers):
                     n_orbitals=2,
                     grid_shape=(8, 8, 8),
                     seed=5,
-                    backend="numba",
+                    config=RunConfig(backend="numba"),
                 ),
                 n_sweeps=2,
                 tau=0.1,

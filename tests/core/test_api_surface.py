@@ -78,3 +78,16 @@ def test_no_duplicate_all_entries(package):
             dupes.append(name)
         seen.add(name)
     assert not dupes, f"{package}.__all__ lists duplicates: {dupes}"
+
+
+def test_removed_twins_stay_removed():
+    """Each concept has one public name: the conformance harness is
+    ``repro.backends.verify_backend`` and the planner is ``repro.tune``."""
+    import repro.backends
+    import repro.core
+
+    assert "verify_backend" not in repro.core.__all__
+    assert not hasattr(repro.core, "verify_backend")
+    assert "verify_backend" in repro.backends.__all__
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.tune")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BsplineBatched, BsplineFused, Grid3D
+from repro.core import BsplineBatched, BsplineFused, Grid3D, Kind
 from repro.core.batched import BatchedOutput
 
 
@@ -30,7 +30,7 @@ class TestAgreementWithPerPosition:
     def test_v(self, batched, fused, positions):
         out = batched.new_output(len(positions))
         batched.v_batch(positions, out)
-        single = fused.new_output("v")
+        single = fused.new_output(Kind.V)
         for s, (x, y, z) in enumerate(positions):
             fused.v(x, y, z, single)
             np.testing.assert_allclose(out.v[s], single.v, atol=1e-10)
@@ -38,7 +38,7 @@ class TestAgreementWithPerPosition:
     def test_vgl(self, batched, fused, positions):
         out = batched.new_output(len(positions))
         batched.vgl_batch(positions, out)
-        single = fused.new_output("vgl")
+        single = fused.new_output(Kind.VGL)
         for s, (x, y, z) in enumerate(positions):
             fused.vgl(x, y, z, single)
             np.testing.assert_allclose(out.v[s], single.v, atol=1e-10)
@@ -48,7 +48,7 @@ class TestAgreementWithPerPosition:
     def test_vgh(self, batched, fused, positions):
         out = batched.new_output(len(positions))
         batched.vgh_batch(positions, out)
-        single = fused.new_output("vgh")
+        single = fused.new_output(Kind.VGH)
         for s, (x, y, z) in enumerate(positions):
             fused.vgh(x, y, z, single)
             np.testing.assert_allclose(out.h[s], single.h, atol=1e-9)
@@ -195,7 +195,7 @@ class TestValidation:
     def test_batch_of_one(self, batched, fused):
         out = batched.new_output(1)
         batched.vgh_batch(np.array([[0.5, 0.5, 0.5]]), out)
-        single = fused.new_output("vgh")
+        single = fused.new_output(Kind.VGH)
         fused.vgh(0.5, 0.5, 0.5, single)
         np.testing.assert_allclose(out.v[0], single.v, atol=1e-10)
 
@@ -217,8 +217,8 @@ class TestTiling:
     ):
         plain = BsplineBatched(small_grid, small_table)
         tiled = BsplineBatched(small_grid, small_table, tile_size=tile)
-        a = plain.new_output("vgh", n=len(positions))
-        b = tiled.new_output("vgh", n=len(positions))
+        a = plain.new_output(Kind.VGH, n=len(positions))
+        b = tiled.new_output(Kind.VGH, n=len(positions))
         plain.vgh_batch(positions, a)
         tiled.vgh_batch(positions, b)
         for stream in ("v", "g", "l", "h"):
@@ -257,8 +257,8 @@ class TestPaddedConstructor:
         raw = BsplineBatched(small_grid, small_table)
         pre = BsplineBatched(small_grid, pad_table_3d(small_table))
         np.testing.assert_array_equal(pre.P, small_table)
-        a = raw.new_output("vgh", n=len(positions))
-        b = pre.new_output("vgh", n=len(positions))
+        a = raw.new_output(Kind.VGH, n=len(positions))
+        b = pre.new_output(Kind.VGH, n=len(positions))
         raw.vgh_batch(positions, a)
         pre.vgh_batch(positions, b)
         for stream in ("v", "g", "l", "h"):
@@ -290,7 +290,7 @@ class TestChunkedPoisoning:
         self, small_grid, small_table, positions
     ):
         eng = BsplineBatched(small_grid, small_table, chunk_size=2)
-        out = eng.new_output("vgh", n=len(positions))
+        out = eng.new_output(Kind.VGH, n=len(positions))
         eng.vgh_batch(positions, out)
         assert "h" in out.valid
 
@@ -304,7 +304,7 @@ class TestChunkedPoisoning:
         self, small_grid, small_table, positions
     ):
         eng = BsplineBatched(small_grid, small_table, chunk_size=2)
-        out = eng.new_output("vgl", n=len(positions))
+        out = eng.new_output(Kind.VGL, n=len(positions))
         out.h = out.h.view(_FillCounter)
         eng.vgl_batch(positions, out)
         assert getattr(out.h, "fill_calls", 0) == 0
@@ -321,14 +321,14 @@ class TestEvaluateDispatch:
 
     def test_scratch_position_buffer_is_reused(self, batched):
         buf = batched._pos1
-        out = batched.new_output("v")
-        batched.evaluate("v", (0.25, 0.5, 0.75), out)
+        out = batched.new_output(Kind.V)
+        batched.evaluate(Kind.V, (0.25, 0.5, 0.75), out)
         assert batched._pos1 is buf
 
     def test_evaluate_matches_batch_of_one_bitwise(self, batched, positions):
-        single = batched.new_output("vgh")
-        batch = batched.new_output("vgh", n=1)
-        batched.evaluate("vgh", positions[0], single)
+        single = batched.new_output(Kind.VGH)
+        batch = batched.new_output(Kind.VGH, n=1)
+        batched.evaluate(Kind.VGH, positions[0], single)
         batched.vgh_batch(positions[:1], batch)
         for stream in ("v", "g", "l", "h"):
             np.testing.assert_array_equal(

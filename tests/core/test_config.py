@@ -221,6 +221,15 @@ class TestEffectiveStepMode:
         assert effective_step_mode(None, RunConfig()) == "batched"
         assert effective_step_mode(None, None, default="walker") == "walker"
 
+    def test_rejects_unknown_env_mode(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STEP_MODE", "bogus")
+        with pytest.raises(ValueError, match="step_mode must be 'batched' or 'walker'"):
+            effective_step_mode(None, None)
+
+    def test_rejects_unknown_explicit_mode(self):
+        with pytest.raises(ValueError, match="got 'turbo'"):
+            effective_step_mode("turbo", RunConfig(step_mode="walker"))
+
 
 class TestDeprecatedKwargs:
     def test_warns_once_per_call_listing_all_kwargs(self):

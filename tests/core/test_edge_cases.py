@@ -6,15 +6,16 @@ import pytest
 from repro.core import (
     BsplineAoSoA,
     BsplineSoA,
+    Kind,
     NestedEvaluator,
-    partition_tiles,
     refimpl,
 )
+from repro.core.partition import partition
 
 
 class TestPartitionTilesOversubscribed:
     def test_more_threads_than_tiles(self):
-        ranges = partition_tiles(n_tiles=3, n_threads=8)
+        ranges = partition(3, 8)
         assert len(ranges) == 8
         # The first three threads get one tile each; the rest idle.
         assert [len(r) for r in ranges] == [1, 1, 1, 0, 0, 0, 0, 0]
@@ -22,12 +23,12 @@ class TestPartitionTilesOversubscribed:
     def test_coverage_is_exact_and_ordered(self):
         for n_tiles in (1, 3, 7):
             for n_threads in (1, 2, 5, 16):
-                ranges = partition_tiles(n_tiles, n_threads)
+                ranges = partition(n_tiles, n_threads)
                 flat = [t for r in ranges for t in r]
                 assert flat == list(range(n_tiles)), (n_tiles, n_threads)
 
     def test_single_tile_many_threads(self):
-        ranges = partition_tiles(1, 4)
+        ranges = partition(1, 4)
         assert [len(r) for r in ranges] == [1, 0, 0, 0]
 
     def test_nested_evaluator_with_idle_threads(self, small_grid, small_table):
@@ -36,9 +37,9 @@ class TestPartitionTilesOversubscribed:
         eng = BsplineAoSoA(small_grid, small_table, tile_size=12)
         positions = [(0.3, 0.4, 0.5)]
         with NestedEvaluator(eng, n_threads=6) as nested:
-            out = eng.new_output("vgh")
-            nested.evaluate("vgh", positions, out)
-        ref = eng.new_output("vgh")
+            out = eng.new_output(Kind.VGH)
+            nested.evaluate(Kind.VGH, positions, out)
+        ref = eng.new_output(Kind.VGH)
         eng.vgh(*positions[0], ref)
         got, want = out.as_canonical(), ref.as_canonical()
         for key in ("v", "g", "l", "h"):
@@ -49,7 +50,7 @@ class TestSingleTileAoSoA:
     def test_one_tile_layout(self, small_grid, small_table):
         eng = BsplineAoSoA(small_grid, small_table, tile_size=24)
         assert eng.n_tiles == 1
-        out = eng.new_output("vgh")
+        out = eng.new_output(Kind.VGH)
         assert out.n_tiles == 1
         assert out.tiles[0].n_splines == 24
 
@@ -59,8 +60,8 @@ class TestSingleTileAoSoA:
         # outputs must match bit-for-bit, not just to tolerance.
         tiled = BsplineAoSoA(small_grid, small_table, tile_size=24)
         soa = BsplineSoA(small_grid, small_table)
-        t_out = tiled.new_output(kind)
-        s_out = soa.new_output(kind)
+        t_out = tiled.new_output(Kind(kind))
+        s_out = soa.new_output(Kind(kind))
         for xyz in [(0.1, 0.2, 0.3), (-4.0, 7.7, 0.0), (1.999, 1.499, 2.499)]:
             getattr(tiled, kind)(*xyz, t_out)
             getattr(soa, kind)(*xyz, s_out)
@@ -100,7 +101,7 @@ class TestBoundaryPositions:
     ):
         eng = BsplineSoA(small_grid, small_table)
         for x, y, z in self.boundary_positions(small_grid):
-            out = eng.new_output(kind)
+            out = eng.new_output(Kind(kind))
             getattr(eng, kind)(x, y, z, out)
             got = out.as_canonical()
             if kind == "v":
@@ -124,7 +125,7 @@ class TestBoundaryPositions:
         # phi(L - eps) -> phi(0) as eps -> 0: no jump across the wrap.
         eng = BsplineSoA(small_grid, small_table)
         lx = small_grid.nx * small_grid.deltas[0]
-        out_a, out_b = eng.new_output("v"), eng.new_output("v")
+        out_a, out_b = eng.new_output(Kind.V), eng.new_output(Kind.V)
         eng.v(lx - 1e-9, 0.4, 0.6, out_a)
         eng.v(0.0, 0.4, 0.6, out_b)
         np.testing.assert_allclose(out_a.v, out_b.v, rtol=1e-6, atol=1e-8)

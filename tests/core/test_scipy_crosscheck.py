@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from repro.core import BsplineSoA, Grid3D, solve_coefficients_1d, solve_coefficients_3d
+from repro.core import (
+    BsplineSoA,
+    Grid3D,
+    Kind,
+    solve_coefficients_1d,
+    solve_coefficients_3d,
+)
 from repro.core.refimpl import reference_v
 
 
@@ -43,7 +49,7 @@ class TestKernelVsScipy:
 
     def test_soa_engine_matches_map_coordinates(self, small_grid, small_table, rng):
         eng = BsplineSoA(small_grid, small_table)
-        out = eng.new_output("v")
+        out = eng.new_output(Kind.V)
         positions = small_grid.random_positions(6, rng)
         theirs = scipy_eval(small_table[..., 3], small_grid, positions)
         ours = []

@@ -10,6 +10,7 @@ from repro.core import (
     BsplineAoSoA,
     BsplineFused,
     BsplineSoA,
+    Kind,
     NestedEvaluator,
 )
 from repro.obs import NULL_SPAN, OBS, kernel_bytes_moved
@@ -36,7 +37,7 @@ class TestDisabledContract:
 
     def test_disabled_kernels_record_nothing(self, small_grid, small_table):
         eng = BsplineSoA(small_grid, small_table)
-        out = eng.new_output("vgh")
+        out = eng.new_output(Kind.VGH)
         eng.vgh(0.1, 0.2, 0.3, out)
         assert len(OBS.registry) == 0
 
@@ -120,7 +121,7 @@ class TestEngineCounting:
     def test_each_engine_counts_each_kernel_once(self, obs, engines):
         for name, eng in engines.items():
             for kind in ("v", "vgl", "vgh"):
-                out = eng.new_output(kind)
+                out = eng.new_output(Kind(kind))
                 getattr(eng, kind)(0.3, 0.4, 0.5, out)
                 assert (
                     counter_value("kernel_calls_total", engine=name, kernel=kind) == 1
@@ -128,7 +129,7 @@ class TestEngineCounting:
 
     def test_aosoa_tiles_do_not_double_count(self, obs, engines):
         eng = engines["aosoa"]
-        out = eng.new_output("vgh")
+        out = eng.new_output(Kind.VGH)
         eng.vgh(0.3, 0.4, 0.5, out)
         # One tiled call = one logical kernel call, not one per tile.
         assert counter_value("kernel_calls_total", engine="aosoa", kernel="vgh") == 1
@@ -137,8 +138,8 @@ class TestEngineCounting:
     def test_nested_evaluator_records_occupancy(self, obs, engines):
         eng = engines["aosoa"]  # 24 splines / 8 per tile = 3 tiles
         with NestedEvaluator(eng, n_threads=2) as nested:
-            out = eng.new_output("vgl")
-            nested.evaluate("vgl", [(0.1, 0.2, 0.3)], out)
+            out = eng.new_output(Kind.VGL)
+            nested.evaluate(Kind.VGL, [(0.1, 0.2, 0.3)], out)
         assert obs.registry.gauge("nested_threads").value == 2
         assert obs.registry.gauge("nested_active_workers").value == 2
         assert obs.registry.gauge("nested_occupancy").value == 1.0

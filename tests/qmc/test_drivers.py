@@ -158,6 +158,48 @@ class TestDmc:
         with pytest.raises(ValueError):
             run_dmc([], WalkerRngPool(0))
 
+    @pytest.mark.parametrize("n_generations", [0, -1])
+    def test_rejects_fewer_than_one_generation(self, n_generations):
+        pool = WalkerRngPool(3)
+        walkers = [DmcWalker(wf=build_wf(pool.next_rng()), rng=pool.next_rng())]
+        with pytest.raises(ValueError, match="n_generations must be positive"):
+            run_dmc(walkers, pool, n_generations=n_generations)
+
+    def test_refills_the_callers_walker_list_in_place(self):
+        pool = WalkerRngPool(3)
+        walkers = [
+            DmcWalker(wf=build_wf(pool.next_rng()), rng=pool.next_rng())
+            for _ in range(4)
+        ]
+        seen = []
+        res = run_dmc(
+            walkers, pool, n_generations=5, tau=0.1,
+            on_generation=lambda gen, ws: seen.append(ws is walkers),
+        )
+        assert seen == [True] * 5
+        assert len(walkers) == res.population_trace[-1]
+        assert all(isinstance(w, DmcWalker) for w in walkers)
+
+    def test_resume_auto_starts_fresh_then_resumes(self, tmp_path):
+        def run():
+            pool = WalkerRngPool(6)
+            walkers = [
+                DmcWalker(wf=build_wf(pool.next_rng()), rng=pool.next_rng())
+                for _ in range(3)
+            ]
+            return run_dmc(
+                walkers, pool, n_generations=4, tau=0.02, checkpoint_every=2,
+                checkpoint_path=tmp_path / "ck", resume="auto",
+            )
+
+        fresh = run()  # no checkpoint yet: starts from the ensemble
+        resumed = run()  # resumes the completed run: nothing left to do
+        np.testing.assert_array_equal(resumed.energy_trace, fresh.energy_trace)
+        np.testing.assert_array_equal(
+            resumed.population_trace, fresh.population_trace
+        )
+        assert resumed.acceptance == fresh.acceptance
+
     def test_energy_mean_uses_second_half(self):
         from repro.qmc.dmc import DmcResult
 

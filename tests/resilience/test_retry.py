@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BsplineAoSoA, NestedEvaluator
+from repro.core import BsplineAoSoA, Kind, NestedEvaluator
 from repro.resilience import (
     FaultInjector,
     ResilientEvaluator,
@@ -80,8 +80,8 @@ class TestResilientEvaluator:
         return BsplineAoSoA(small_grid, small_table, tile_size=8)
 
     def _reference(self, engine, kind, positions):
-        out = engine.new_output(kind)
-        engine.eval_tiles(kind, range(engine.n_tiles), positions, out)
+        out = engine.new_output(Kind(kind))
+        engine.eval_tiles(Kind(kind), range(engine.n_tiles), positions, out)
         return out.as_canonical()
 
     def test_transient_worker_faults_absorbed(self, engine, small_grid, rng):
@@ -92,8 +92,8 @@ class TestResilientEvaluator:
             nested, RetryPolicy(max_attempts=3, base_delay=0.0),
             sleep=lambda _: None,
         )
-        out = engine.new_output("vgh")
-        resilient.evaluate("vgh", positions, out)
+        out = engine.new_output(Kind.VGH)
+        resilient.evaluate(Kind.VGH, positions, out)
         resilient.close()
         assert resilient.retries == 2
         assert resilient.fallbacks == 0
@@ -112,8 +112,8 @@ class TestResilientEvaluator:
             nested, RetryPolicy(max_attempts=2, base_delay=0.0),
             sleep=lambda _: None,
         ) as resilient:
-            out = engine.new_output("vgl")
-            resilient.evaluate("vgl", positions, out)
+            out = engine.new_output(Kind.VGL)
+            resilient.evaluate(Kind.VGL, positions, out)
         assert resilient.fallbacks == 1
         assert resilient.retries == 1
         # The fallback runs the same pure kernels: bit-identical results.

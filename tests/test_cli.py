@@ -37,3 +37,20 @@ class TestCli:
     def test_unknown_target(self, capsys):
         assert main(["fig99"]) == 2
         assert "unknown target" in capsys.readouterr().err
+
+
+class TestDmcGenerations:
+    """``--generations`` below 1 is a usage error in every mode, never a
+    ``nan`` energy (sequential) or a traceback (sharded)."""
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--processes", "2"]], ids=["sequential", "sharded"]
+    )
+    @pytest.mark.parametrize("generations", ["0", "-3"])
+    def test_rejects_fewer_than_one_generation(self, capsys, extra, generations):
+        with pytest.raises(SystemExit) as exc:
+            main(["dmc", "--walkers", "2", "--generations", generations, *extra])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--generations must be at least 1" in err
+        assert "Traceback" not in err
