@@ -63,11 +63,6 @@ class MiniQmcConfig:
         :class:`repro.config.RunConfig` for the batched drivers
         (chunk/tile/backend/tune mode).  ``None`` consults the
         environment at driver time.
-    chunk_size, backend:
-        .. deprecated:: PR9
-           Pre-config spellings; a non-None value overrides the
-           matching ``config`` field and warns.  Use
-           ``config=RunConfig(...)``.
     """
 
     n_splines: int
@@ -78,40 +73,21 @@ class MiniQmcConfig:
     tile_size: int | None = None
     dtype: type = np.float32
     seed: int = 2017
-    chunk_size: int | None = None
-    backend: str | None = None
     config: "object | None" = None
-
-    def __post_init__(self) -> None:
-        from repro.config import deprecated_kwargs
-
-        deprecated_kwargs(
-            "MiniQmcConfig",
-            chunk_size=self.chunk_size is not None,
-            backend=self.backend is not None,
-        )
 
     def run_config(self):
         """The effective :class:`~repro.config.RunConfig` for batched runs.
 
-        Deprecated field spellings (and the physical ``tile_size``)
-        override the matching ``config`` fields — rung 1 of the
-        documented resolution order; with no ``config`` the environment
-        is consulted (rung 2).
+        The physical ``tile_size`` overrides ``config.tile_size`` — rung
+        1 of the documented resolution order; with no ``config`` the
+        environment is consulted (rung 2).
         """
         from repro.config import RunConfig
 
         cfg = self.config if self.config is not None else RunConfig.from_env()
-        overrides = {
-            k: v
-            for k, v in (
-                ("tile_size", self.tile_size),
-                ("chunk_size", self.chunk_size),
-                ("backend", self.backend),
-            )
-            if v is not None
-        }
-        return cfg.replace(**overrides) if overrides else cfg
+        if self.tile_size is not None:
+            return cfg.replace(tile_size=self.tile_size)
+        return cfg
 
     @property
     def n_grid_points(self) -> int:

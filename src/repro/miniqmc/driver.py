@@ -118,7 +118,12 @@ def _finalize(result: DriverResult) -> DriverResult:
 
 
 def _driver_fingerprint(config: MiniQmcConfig, engine: str, kernels) -> dict:
-    """What must match for a driver checkpoint to be resumable."""
+    """What must match for a driver checkpoint to be resumable.
+
+    Blocking and backend come from ``config.run_config()``, the config
+    the batched engine is built from; a backend object counts by name.
+    """
+    run = config.run_config()
     return {
         "engine": engine,
         "n_splines": config.n_splines,
@@ -127,8 +132,8 @@ def _driver_fingerprint(config: MiniQmcConfig, engine: str, kernels) -> dict:
         "n_iters": config.n_iters,
         "n_walkers": config.n_walkers,
         "tile_size": config.tile_size,
-        "chunk_size": config.chunk_size,
-        "backend": config.backend,
+        "chunk_size": run.chunk_size,
+        "backend": getattr(run.backend, "name", run.backend),
         "seed": config.seed,
         "kernels": [k.value for k in _as_kinds(kernels)],
     }

@@ -2,10 +2,13 @@
 
 Each walker's VMC trajectory is fully independent (its wavefunction and
 its private stream), so population-level VMC is embarrassingly parallel:
-shard the walkers, run :func:`repro.qmc.vmc.run_vmc` per walker inside
-each worker, gather per-walker energy traces in walker order.  With the
-per-walker streams of :mod:`repro.parallel.sharding`, the merged result
-is bit-identical to the sequential loop for any worker count.
+shard the walkers, run the one VMC step loop
+(:func:`repro.qmc.vmc._run_vmc_loop`) over each worker's shard, gather
+per-walker energy traces and integer move counts in walker order.  With
+the per-walker streams of :mod:`repro.parallel.sharding`, the merged
+result is bit-identical to the in-process loop for any worker count, and
+row ``w`` is bit-identical to :func:`repro.qmc.vmc.run_vmc` on walker
+``w``.
 """
 
 from __future__ import annotations
@@ -21,16 +24,9 @@ from repro.parallel.crowd import CrowdSpec, build_walker_range, solve_spec_table
 from repro.parallel.pool import ProcessCrowdPool
 from repro.parallel.sharding import shard_slices
 from repro.parallel.shared_table import SharedTable
-from repro.qmc.batched_step import CrowdState, batched_sweep
-from repro.qmc.estimators import LocalEnergy
-from repro.qmc.vmc import run_vmc
+from repro.qmc.vmc import _run_vmc_loop
 
 __all__ = ["VmcPopulationResult", "run_vmc_population"]
-
-# Must match run_vmc's default recompute cadence: the two step modes are
-# compared bit-for-bit, and recompute timing is part of the trajectory.
-_RECOMPUTE_EVERY = 20
-
 
 @dataclass
 class VmcPopulationResult:
@@ -55,65 +51,6 @@ class VmcPopulationResult:
         )
 
 
-def _run_walker_range(
-    wfs, rngs, n_steps, n_warmup, tau, ion_charge, step_mode="batched"
-) -> dict:
-    """Run VMC over already-built walkers; shared by the in-process path
-    and the worker shards.
-
-    ``step_mode="batched"`` advances the whole range in lock step through
-    the batched population kernels — each electron move across every
-    walker of the shard is one orbital call.  ``"walker"`` runs the
-    sequential :func:`repro.qmc.vmc.run_vmc` per walker.  Trajectories
-    and energy traces are bit-identical between the modes (walkers only
-    consume their private streams; measurement draws none).
-    """
-    if step_mode == "batched" and wfs:
-        state = CrowdState(wfs, rngs)
-        estimators = [LocalEnergy(wf, ion_charge) for wf in wfs]
-        traces: list[list[float]] = [[] for _ in wfs]
-        accepted = attempted = 0
-        for step in range(n_warmup + n_steps):
-            acc, att = batched_sweep(state, tau)
-            accepted += acc
-            attempted += att
-            if (step + 1) % _RECOMPUTE_EVERY == 0:
-                for wf in wfs:
-                    wf.recompute()
-            if step >= n_warmup:
-                for trace, est in zip(traces, estimators):
-                    trace.append(est.total())
-        return {
-            "energies": np.asarray(traces, dtype=np.float64),
-            "accepted": accepted,
-            "attempted": attempted,
-        }
-    energies, accepted, attempted = [], 0, 0
-    for wf, rng in zip(wfs, rngs):
-        result = run_vmc(
-            wf,
-            rng,
-            n_steps=n_steps,
-            n_warmup=n_warmup,
-            tau=tau,
-            ion_charge=ion_charge,
-            recompute_every=_RECOMPUTE_EVERY,
-            step_mode="walker",
-        )
-        energies.append(result.energies)
-        sweeps = n_steps + n_warmup
-        n_el = len(wf.electrons)
-        attempted += sweeps * n_el
-        accepted += round(result.acceptance * sweeps * n_el)
-    return {
-        "energies": np.asarray(energies, dtype=np.float64)
-        if energies
-        else np.empty((0, n_steps)),
-        "accepted": accepted,
-        "attempted": attempted,
-    }
-
-
 class _VmcShard:
     """Worker-process state: attached table + this shard's walkers."""
 
@@ -126,7 +63,7 @@ class _VmcShard:
 
     def run(self, n_steps, n_warmup, tau, ion_charge, step_mode="batched") -> dict:
         t0 = time.perf_counter()
-        out = _run_walker_range(
+        out = _run_vmc_loop(
             self.wfs, self.rngs, n_steps, n_warmup, tau, ion_charge, step_mode
         )
         if OBS.enabled and self.wfs:
@@ -197,10 +134,11 @@ def run_vmc_population(
         )
     if table is None:
         table = solve_spec_table(spec)
+    mode = "walkers"
     if (split != "walkers" or orbital_shards is not None) and processes and n_workers:
         from repro.parallel.orbital import OrbitalEvaluator, resolve_split
 
-        mode, shards = resolve_split(
+        mode, blocks = resolve_split(
             spec.n_walkers,
             n_workers,
             spec.n_orbitals,
@@ -208,49 +146,37 @@ def run_vmc_population(
             orbital_shards=orbital_shards,
             config=spec.run_config(),
         )
-        if mode == "orbitals":
-            if injector is not None:
-                raise ValueError(
-                    "fault injectors target walker shards; orbital replicas "
-                    "take faults via OrbitalEvaluator.arm_fault instead"
-                )
-            spec = spec.resolved(table.dtype)
-            t0 = time.perf_counter()
-            wfs, rngs = build_walker_range(spec, table, 0, spec.n_walkers)
-            spos = wfs[0].slater.spos
-            fanned = OrbitalEvaluator(
-                spos.grid,
-                spos._padded_table
-                if spos._padded_table is not None
-                else spos.engine.P,
-                config=spec.config,
-                processes=n_workers,
-                orbital_shards=shards,
-                supervise=fleet is not None,
-                fleet_config=fleet,
-                start_method=start_method,
+        if mode == "orbitals" and injector is not None:
+            raise ValueError(
+                "fault injectors target walker shards; orbital replicas "
+                "take faults via OrbitalEvaluator.arm_fault instead"
             )
-            spos._batched = fanned
-            try:
-                shard = _run_walker_range(
-                    wfs, rngs, n_steps, n_warmup, tau, ion_charge, step_mode
-                )
-            finally:
-                fanned.close()
-            return VmcPopulationResult(
-                energies=shard["energies"],
-                acceptance=shard["accepted"] / max(shard["attempted"], 1),
-                seconds=time.perf_counter() - t0,
-                n_workers=n_workers,
-            )
+    run_args = (n_steps, n_warmup, tau, ion_charge, step_mode)
     t0 = time.perf_counter()
-    if not processes or n_workers == 0:
+    if mode == "orbitals":
+        spec = spec.resolved(table.dtype)
         wfs, rngs = build_walker_range(spec, table, 0, spec.n_walkers)
-        shards = [
-            _run_walker_range(
-                wfs, rngs, n_steps, n_warmup, tau, ion_charge, step_mode
-            )
-        ]
+        spos = wfs[0].slater.spos
+        fanned = OrbitalEvaluator(
+            spos.grid,
+            spos._padded_table
+            if spos._padded_table is not None
+            else spos.engine.P,
+            config=spec.config,
+            processes=n_workers,
+            orbital_shards=blocks,
+            supervise=fleet is not None,
+            fleet_config=fleet,
+            start_method=start_method,
+        )
+        spos._batched = fanned
+        try:
+            shards = [_run_vmc_loop(wfs, rngs, *run_args)]
+        finally:
+            fanned.close()
+    elif not processes or n_workers == 0:
+        wfs, rngs = build_walker_range(spec, table, 0, spec.n_walkers)
+        shards = [_run_vmc_loop(wfs, rngs, *run_args)]
         n_workers = 0
     else:
         # Pad in the parent so every worker attaches the ghost halo
@@ -270,9 +196,7 @@ def run_vmc_population(
                     start_method=start_method,
                 ) as supervisor:
                     supervisor.arm_injector(injector)
-                    shards = supervisor.broadcast(
-                        "run", n_steps, n_warmup, tau, ion_charge, step_mode
-                    )
+                    shards = supervisor.broadcast("run", *run_args)
                     supervisor.merge_metrics()
             else:
                 with ProcessCrowdPool(
@@ -281,9 +205,7 @@ def run_vmc_population(
                     (spec, table_spec),
                     start_method=start_method,
                 ) as pool:
-                    shards = pool.broadcast(
-                        "run", n_steps, n_warmup, tau, ion_charge, step_mode
-                    )
+                    shards = pool.broadcast("run", *run_args)
                     pool.merge_metrics()
         finally:
             shared.close()

@@ -64,7 +64,12 @@ from repro.resilience.checkpoint import (
     rng_state,
     save_checkpoint,
 )
-from repro.resilience.guards import GuardConfig, GuardViolation, PopulationGuard
+from repro.resilience.guards import (
+    GuardConfig,
+    GuardViolation,
+    PopulationGuard,
+    screen_energy,
+)
 
 __all__ = ["DmcWalker", "DmcResult", "run_dmc", "build_dmc_ensemble"]
 
@@ -412,24 +417,15 @@ def _run_dmc_loop(
     def keep(w, e_local: float) -> bool:
         """Record ``w``'s energy under the non-finite policy; True keeps it."""
         nonlocal dropped
+        w.e_local = e_local  # a dropped walker keeps its bad energy
+        e_local = screen_energy(
+            e_local, energy_policy, kind, lambda: executor.remeasure(w, ion_charge)
+        )
+        if e_local is None:
+            dropped += 1
+            return False
         w.e_local = e_local
-        if np.isfinite(e_local) or energy_policy == "ignore":
-            return True
-        OBS.count("guard_trips_total", kind="nonfinite_energy", driver=kind)
-        OBS.event("guard:nonfinite_energy", cat="guard", driver=kind)
-        if energy_policy == "recompute":
-            e_local = executor.remeasure(w, ion_charge)
-            if e_local is not None:
-                w.e_local = e_local
-                if np.isfinite(e_local):
-                    return True
-        if energy_policy == "raise":
-            raise GuardViolation(
-                f"non-finite local energy {w.e_local!r} "
-                f"(policy 'raise'; use 'drop' or 'recompute' to continue)"
-            )
-        dropped += 1
-        return False
+        return True
 
     if resume is not None:
         ckpt = _read_dmc_checkpoint(resume, kind, params)

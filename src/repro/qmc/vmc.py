@@ -1,16 +1,28 @@
-"""Variational Monte Carlo driver.
+"""Variational Monte Carlo: one step loop for every VMC driver.
 
 VMC samples ``|Psi_T|^2`` with the drift-diffusion kernel and averages
 the local energy.  In this reproduction it serves two roles: a
 correctness harness (detailed balance + estimator sanity on toy systems)
 and the equilibration stage that hands thermalized walkers to DMC.
 
-Like the DMC driver, ``run_vmc`` supports periodic checkpoints and
-bit-for-bit resume (positions + exact RNG state + partial energy trace),
-and a :class:`~repro.resilience.guards.GuardConfig` policy for
-non-finite local energies.  Taking a checkpoint calls
-``wf.recompute()``, so reproducibility comparisons must share the same
-``checkpoint_every`` cadence (see :mod:`repro.qmc.dmc`).
+:func:`_run_vmc_loop` is the one implementation of a VMC run, the
+walker loop of the paper's Fig. 3 over a list of walkers.  It owns the
+sweep (one :class:`~repro.qmc.batched_step.CrowdState` over the list in
+``"batched"`` mode, :func:`~repro.qmc.drift_diffusion.sweep` per walker
+in lock step in ``"walker"`` mode — bit-identical, since walkers draw
+only from their private streams), the recompute cadence, measurement,
+the non-finite-energy policy, the ``vmc_*`` metrics and the ``"vmc"``
+checkpoint.  :func:`run_vmc` runs it over one walker;
+:func:`repro.parallel.run_vmc_population` runs it over each worker's
+shard (or the whole population, in-process or orbital-split) and the
+``vmc`` op of the serving layer over a spec's population.
+
+``run_vmc`` supports periodic checkpoints and bit-for-bit resume
+(positions + exact RNG state + partial energy trace), and a
+:class:`~repro.resilience.guards.GuardConfig` policy for non-finite
+local energies.  Taking a checkpoint calls ``wf.recompute()``, so
+reproducibility comparisons must share the same ``checkpoint_every``
+cadence (see :mod:`repro.qmc.dmc`).
 """
 
 from __future__ import annotations
@@ -32,9 +44,13 @@ from repro.resilience.checkpoint import (
     set_rng_state,
     rng_state,
 )
-from repro.resilience.guards import GuardConfig, GuardViolation
+from repro.resilience.guards import GuardConfig, screen_energy
 
 __all__ = ["VmcResult", "run_vmc"]
+
+#: Sweeps between full recomputations (rounding-drift control); part of
+#: the trajectory, so every driver that does not choose shares it.
+_DEFAULT_RECOMPUTE_EVERY = 20
 
 
 @dataclass
@@ -73,7 +89,7 @@ def run_vmc(
     n_warmup: int = 10,
     tau: float = 0.3,
     ion_charge: float = 4.0,
-    recompute_every: int = 20,
+    recompute_every: int = _DEFAULT_RECOMPUTE_EVERY,
     measure: bool = True,
     checkpoint_every: int | None = None,
     checkpoint_path=None,
@@ -110,10 +126,12 @@ def run_vmc(
     resume:
         Checkpoint to continue from; run parameters must match.
     guard:
-        Non-finite-energy policy: ``"raise"`` fails loudly,
-        ``"recompute"`` rebuilds derived state and re-measures once
-        (keeping the bad sample only if still bad under ``"ignore"``
-        semantics), ``"drop"`` skips the sample.
+        Non-finite-energy policy
+        (:func:`~repro.resilience.guards.screen_energy`): ``"raise"``
+        fails loudly, ``"recompute"`` rebuilds derived state and
+        re-measures once through a fresh estimator (dropping the sample
+        if still bad), ``"drop"`` skips the sample; ``None`` keeps every
+        sample.
     step_mode:
         ``"batched"`` (default) advances the walker through the batched
         population-step kernels (:mod:`repro.qmc.batched_step`, a crowd
@@ -130,7 +148,48 @@ def run_vmc(
     """
     from repro.config import effective_step_mode
 
-    step_mode = effective_step_mode(step_mode, config)
+    out = _run_vmc_loop(
+        [wf], [rng], n_steps, n_warmup, tau, ion_charge,
+        effective_step_mode(step_mode, config),
+        recompute_every=recompute_every,
+        measure=measure,
+        energy_policy=guard.on_nonfinite_energy if guard is not None else "ignore",
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+    )
+    return VmcResult(
+        energies=out["energies"][0],
+        acceptance=out["accepted"] / max(out["attempted"], 1),
+    )
+
+
+def _run_vmc_loop(
+    wfs: list[SlaterJastrow],
+    rngs: list[np.random.Generator],
+    n_steps: int,
+    n_warmup: int,
+    tau: float,
+    ion_charge: float,
+    step_mode: str,
+    recompute_every: int = _DEFAULT_RECOMPUTE_EVERY,
+    measure: bool = True,
+    energy_policy: str = "ignore",
+    checkpoint_every: int | None = None,
+    checkpoint_path=None,
+    resume=None,
+) -> dict:
+    """Advance ``wfs`` (each with its own stream in ``rngs``) through
+    ``n_warmup + n_steps`` sweeps; the loop every VMC driver runs.
+
+    Returns ``{"energies", "accepted", "attempted"}``: a
+    ``(len(wfs), n_measured)`` float64 array of post-warm-up local
+    energies in walker order (a ``"drop"`` policy can shorten a trace,
+    so it is meant for one walker) and integer move counts.  The
+    ``"vmc"`` checkpoint holds one walker, so ``checkpoint_every`` and
+    ``resume`` need ``len(wfs) == 1``.  Metrics count one
+    ``vmc_steps_total`` per sweep of the whole list.
+    """
     if checkpoint_every is not None:
         if checkpoint_every <= 0:
             raise ValueError(
@@ -145,70 +204,36 @@ def run_vmc(
         "recompute_every": recompute_every,
         "measure": measure,
     }
-    energy_policy = guard.on_nonfinite_energy if guard is not None else "ignore"
-    estimator = LocalEnergy(wf, ion_charge) if measure else None
-
-    def measure_energy() -> float | None:
-        nonlocal estimator
-        e = estimator.total()
-        if np.isfinite(e) or energy_policy == "ignore":
-            return e
-        OBS.count(
-            "guard_trips_total", kind="nonfinite_energy", driver="vmc"
-        )
-        OBS.event("guard:nonfinite_energy", cat="guard", driver="vmc")
-        if energy_policy == "recompute":
-            wf.recompute()
-            estimator = LocalEnergy(wf, ion_charge)
-            e = estimator.total()
-            if np.isfinite(e):
-                return e
-        if energy_policy == "raise":
-            raise GuardViolation(
-                f"non-finite local energy {e!r} in VMC "
-                f"(policy 'raise'; use 'drop' or 'recompute' to continue)"
-            )
-        return None  # drop the sample
-
     if resume is not None:
-        ckpt = load_checkpoint(resume, expect_kind="vmc")
-        saved = ckpt.manifest["params"]
-        for key in params:
-            if saved.get(key) != params[key]:
-                raise CheckpointError(
-                    f"checkpoint parameter mismatch for {key!r}: "
-                    f"saved {saved.get(key)!r}, requested {params[key]!r}"
-                )
-        try:
-            wf.electrons.load_positions(ckpt.arrays["positions"], wrap=False)
-            wf.ions.load_positions(ckpt.arrays["ion_positions"], wrap=False)
-        except ValueError as exc:
-            raise CheckpointError(
-                f"wavefunction does not match checkpoint shape: {exc}"
-            ) from exc
-        wf.recompute()
-        set_rng_state(rng, ckpt.manifest["rng_state"])
-        start_step = int(ckpt.manifest["step"])
-        energies = list(ckpt.arrays["energies"])
-        accepted = int(ckpt.manifest["accepted"])
-        attempted = int(ckpt.manifest["attempted"])
-        if measure:
-            estimator = LocalEnergy(wf, ion_charge)
+        start_step, accepted, attempted, traces = _read_vmc_checkpoint(
+            resume, params, wfs, rngs
+        )
     else:
-        start_step = 0
-        energies = []
-        accepted = attempted = 0
+        start_step = accepted = attempted = 0
+        traces = [[] for _ in wfs]
+    if not wfs:
+        return {"energies": np.empty((0, n_steps)), "accepted": 0, "attempted": 0}
+    # Built after any resume, so estimators and the SoA position cache
+    # see the restored configuration.
+    estimators = [LocalEnergy(wf, ion_charge) for wf in wfs] if measure else None
+    crowd = CrowdState(wfs, rngs) if step_mode == "batched" else None
 
-    # Built after any resume so the SoA position cache sees the restored
-    # configuration.
-    crowd = CrowdState([wf], [rng]) if step_mode == "batched" else None
+    def remeasure(i: int) -> float:
+        # Rebuild derived state and re-measure through a fresh estimator.
+        wfs[i].recompute()
+        estimators[i] = LocalEnergy(wfs[i], ion_charge)
+        return estimators[i].total()
 
     for step in range(start_step, n_warmup + n_steps):
         t_step = time.perf_counter() if OBS.enabled else 0.0
         if crowd is not None:
             acc, att = batched_sweep(crowd, tau)
         else:
-            acc, att = sweep(wf, tau, rng)
+            acc = att = 0
+            for wf, rng in zip(wfs, rngs):
+                a, t = sweep(wf, tau, rng)
+                acc += a
+                att += t
         if OBS.enabled:
             dt = time.perf_counter() - t_step
             OBS.count("vmc_steps_total")
@@ -217,30 +242,77 @@ def run_vmc(
         accepted += acc
         attempted += att
         if (step + 1) % recompute_every == 0:
-            wf.recompute()
-        if step >= n_warmup and estimator is not None:
-            e = measure_energy()
-            if e is not None:
-                energies.append(e)
+            for wf in wfs:
+                wf.recompute()
+        if step >= n_warmup and estimators is not None:
+            for i, trace in enumerate(traces):
+                e = screen_energy(
+                    estimators[i].total(), energy_policy, "vmc",
+                    lambda: remeasure(i),
+                )
+                if e is not None:
+                    trace.append(e)
         if checkpoint_every is not None and (step + 1) % checkpoint_every == 0:
-            wf.recompute()
-            save_checkpoint(
-                checkpoint_path,
-                {
-                    "kind": "vmc",
-                    "step": step + 1,
-                    "accepted": accepted,
-                    "attempted": attempted,
-                    "rng_state": rng_state(rng),
-                    "params": params,
-                },
-                {
-                    "positions": wf.electrons.positions,
-                    "ion_positions": wf.ions.positions,
-                    "energies": np.asarray(energies, dtype=np.float64),
-                },
+            _write_vmc_checkpoint(
+                checkpoint_path, step + 1, accepted, attempted, params,
+                wfs, rngs, traces,
             )
-    return VmcResult(
-        energies=np.asarray(energies),
-        acceptance=accepted / max(attempted, 1),
+    return {
+        "energies": np.asarray(traces, dtype=np.float64),
+        "accepted": accepted,
+        "attempted": attempted,
+    }
+
+
+def _write_vmc_checkpoint(
+    path, step, accepted, attempted, params, wfs, rngs, traces
+) -> None:
+    """Save the one walker of ``wfs`` (recomputed first, so its state is
+    what a resume rebuilds from positions)."""
+    (wf,), (rng,), (energies,) = wfs, rngs, traces
+    wf.recompute()
+    save_checkpoint(
+        path,
+        {
+            "kind": "vmc",
+            "step": step,
+            "accepted": accepted,
+            "attempted": attempted,
+            "rng_state": rng_state(rng),
+            "params": params,
+        },
+        {
+            "positions": wf.electrons.positions,
+            "ion_positions": wf.ions.positions,
+            "energies": np.asarray(energies, dtype=np.float64),
+        },
+    )
+
+
+def _read_vmc_checkpoint(resume, params, wfs, rngs):
+    """Restore the one walker of ``wfs`` in place; returns ``(step,
+    accepted, attempted, traces)``."""
+    (wf,), (rng,) = wfs, rngs
+    ckpt = load_checkpoint(resume, expect_kind="vmc")
+    saved = ckpt.manifest["params"]
+    for key in params:
+        if saved.get(key) != params[key]:
+            raise CheckpointError(
+                f"checkpoint parameter mismatch for {key!r}: "
+                f"saved {saved.get(key)!r}, requested {params[key]!r}"
+            )
+    try:
+        wf.electrons.load_positions(ckpt.arrays["positions"], wrap=False)
+        wf.ions.load_positions(ckpt.arrays["ion_positions"], wrap=False)
+    except ValueError as exc:
+        raise CheckpointError(
+            f"wavefunction does not match checkpoint shape: {exc}"
+        ) from exc
+    wf.recompute()
+    set_rng_state(rng, ckpt.manifest["rng_state"])
+    return (
+        int(ckpt.manifest["step"]),
+        int(ckpt.manifest["accepted"]),
+        int(ckpt.manifest["attempted"]),
+        [list(ckpt.arrays["energies"])],
     )

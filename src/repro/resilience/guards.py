@@ -17,9 +17,9 @@ configurable policy:
   truncated to the cap, extinction is rebuilt by cloning the
   best surviving finite-energy walkers.
 
-Walker-energy policy (NaN local energy → raise / recompute / drop-and-
-rebranch) is applied inside :func:`repro.qmc.dmc.run_dmc` and
-:func:`repro.qmc.vmc.run_vmc` via :class:`GuardConfig`.
+* :func:`screen_energy` — the one walker-energy policy (NaN local
+  energy → raise / recompute / drop), chosen by :class:`GuardConfig` and
+  applied by both the DMC generation loop and the VMC step loop.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "GuardConfig",
     "nonfinite_counts",
     "check_finite",
+    "screen_energy",
     "GuardedEngine",
     "PopulationGuard",
 ]
@@ -102,6 +103,34 @@ def check_finite(context: str, **arrays: np.ndarray) -> None:
     if bad:
         detail = ", ".join(f"{k}: {v} bad values" for k, v in sorted(bad.items()))
         raise GuardViolation(f"non-finite values in {context} ({detail})")
+
+
+def screen_energy(e: float, policy: str, driver: str, remeasure) -> float | None:
+    """Apply the non-finite local-energy ``policy`` to one measurement.
+
+    Returns the energy to keep, or ``None`` to drop the sample (VMC) or
+    the walker (DMC).  A finite energy, or any energy under ``"ignore"``,
+    passes through untouched.  Otherwise the trip is counted under
+    ``driver`` and ``"raise"`` raises :class:`GuardViolation`;
+    ``"recompute"`` calls ``remeasure()`` once (it rebuilds derived
+    state and returns a fresh energy, or ``None`` when there is nothing
+    to rebuild) and keeps the result if finite; what is still bad is
+    dropped.
+    """
+    if policy == "ignore" or np.isfinite(e):
+        return e
+    OBS.count("guard_trips_total", kind="nonfinite_energy", driver=driver)
+    OBS.event("guard:nonfinite_energy", cat="guard", driver=driver)
+    if policy == "raise":
+        raise GuardViolation(
+            f"non-finite local energy {e!r} in {driver} "
+            f"(policy 'raise'; use 'drop' or 'recompute' to continue)"
+        )
+    if policy == "recompute":
+        e = remeasure()
+        if e is not None and np.isfinite(e):
+            return e
+    return None
 
 
 # -- guarded kernel engine ---------------------------------------------------

@@ -32,7 +32,7 @@ from repro.core.kinds import Kind
 from repro.obs import OBS
 from repro.parallel.crowd import CrowdSpec, build_walker_range
 from repro.parallel.shared_table import SharedTable
-from repro.parallel.vmc import _run_walker_range
+from repro.qmc.vmc import _run_vmc_loop
 
 __all__ = ["ServeShard"]
 
@@ -194,7 +194,7 @@ class ServeShard:
 
         Reuses the crowd machinery end to end: deterministic walkers
         from the spec's seeds over the attached padded table, advanced
-        by the batched population step — bit-identical to
+        in batched mode by the one VMC step loop — bit-identical to
         ``run_vmc_population(spec, processes=False)`` on the same spec.
         """
         if release:
@@ -202,9 +202,7 @@ class ServeShard:
         table = self._attach(table_spec)
         spec = CrowdSpec(**spec_fields)
         wfs, rngs = build_walker_range(spec, table.array, 0, spec.n_walkers)
-        out = _run_walker_range(
-            wfs, rngs, n_steps, n_warmup, tau, ion_charge, "batched"
-        )
+        out = _run_vmc_loop(wfs, rngs, n_steps, n_warmup, tau, ion_charge, "batched")
         if OBS.enabled:
             OBS.count("serve_worker_vmc_total")
         return out

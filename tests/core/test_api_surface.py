@@ -82,7 +82,8 @@ def test_no_duplicate_all_entries(package):
 
 def test_removed_twins_stay_removed():
     """Each concept has one public name: the conformance harness is
-    ``repro.backends.verify_backend`` and the planner is ``repro.tune``."""
+    ``repro.backends.verify_backend``, the planner is ``repro.tune`` and
+    the Opt C partition is ``repro.core.partition.partition``."""
     import repro.backends
     import repro.core
 
@@ -91,3 +92,9 @@ def test_removed_twins_stay_removed():
     assert "verify_backend" in repro.backends.__all__
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.core.tune")
+    # The Opt C partition lives only in repro.core.partition.
+    import repro.core.nested
+
+    assert "partition_tiles" not in repro.core.__all__
+    assert not hasattr(repro.core, "partition_tiles")
+    assert not hasattr(repro.core.nested, "partition_tiles")

@@ -105,15 +105,6 @@ class TestParallelSurfaces:
 
 
 class TestMiniQmcSurfaces:
-    def test_miniqmc_config_old_kwargs_warn_once(self):
-        from repro.miniqmc.config import MiniQmcConfig
-
-        with pytest.warns(DeprecationWarning, match="MiniQmcConfig") as rec:
-            cfg = MiniQmcConfig(8, (8, 8, 8), chunk_size=8, backend="numpy")
-        assert len(rec) == 1
-        run = cfg.run_config()
-        assert (run.chunk_size, run.backend) == (8, "numpy")
-
     def test_miniqmc_tile_size_is_not_deprecated(self, recwarn):
         # tile_size is the physical AoSoA block width (the paper's Nb),
         # not a tuning knob — it stays a first-class field.

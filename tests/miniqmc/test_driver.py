@@ -182,8 +182,26 @@ class TestBatchedEngine:
     def test_fingerprint_includes_chunk_size(self, cfg):
         from repro.miniqmc.driver import _driver_fingerprint
 
-        # The fingerprint reads the deprecated ``chunk_size`` field only.
-        a = _driver_fingerprint(replace(cfg, chunk_size=None), "batched", ("v",))
-        with pytest.warns(DeprecationWarning, match="MiniQmcConfig"):
-            b = _driver_fingerprint(replace(cfg, chunk_size=2), "batched", ("v",))
+        def fingerprint(run_config):
+            return _driver_fingerprint(
+                replace(cfg, config=run_config), "batched", ("v",)
+            )
+
+        a = fingerprint(RunConfig(chunk_size=2, backend="numpy"))
+        b = fingerprint(RunConfig(chunk_size=4, backend="numpy"))
         assert a != b
+        assert a == fingerprint(RunConfig(chunk_size=2, backend="numpy"))
+
+    def test_fingerprint_includes_backend_name(self, cfg):
+        from repro.backends import get_backend
+        from repro.miniqmc.driver import _driver_fingerprint
+
+        def fingerprint(backend):
+            run_config = RunConfig(chunk_size=2, backend=backend)
+            return _driver_fingerprint(
+                replace(cfg, config=run_config), "batched", ("v",)
+            )
+
+        assert fingerprint("numpy") != fingerprint("cc")
+        # A resolved backend object fingerprints by its registry name.
+        assert fingerprint(get_backend("numpy")) == fingerprint("numpy")

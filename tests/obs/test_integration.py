@@ -116,6 +116,20 @@ class TestQmcAndResilience:
         assert "checkpoint:save" in names
 
 
+    @pytest.mark.parametrize("step_mode", ["batched", "walker"])
+    def test_population_vmc_counts_one_step_per_sweep(self, obs, step_mode):
+        # One vmc_steps_total per sweep of the whole walker list, not
+        # one per walker.
+        from repro.parallel import CrowdSpec, run_vmc_population
+
+        spec = CrowdSpec(n_walkers=3, n_orbitals=2, seed=5, grid_shape=(8, 8, 8))
+        run_vmc_population(
+            spec, n_steps=2, n_warmup=1, processes=False, step_mode=step_mode
+        )
+        assert obs.registry.counter("vmc_steps_total").value == 3
+        assert obs.registry.histogram("vmc_step_seconds").count == 3
+        assert "vmc:sweep" in {e["name"] for e in obs.tracer.events}
+
 class TestCliFlags:
     def test_dmc_cli_writes_metrics_and_trace(self, tmp_path, capsys):
         from repro.__main__ import main

@@ -49,6 +49,31 @@ class TestVmcPopulation:
         assert vmc_reference.energy_error > 0
 
 
+class TestVmcPopulationRows:
+    @pytest.mark.parametrize("step_mode", ["batched", "walker"])
+    def test_row_is_the_single_walker_run(self, table, step_mode):
+        """Row ``w`` of the population run is ``run_vmc`` on walker ``w``.
+
+        25 measured + 3 warm-up steps put a recompute (every 20 sweeps)
+        inside the run, so the cadence must match too.
+        """
+        from repro.parallel.crowd import build_walker_range
+        from repro.qmc.vmc import run_vmc
+
+        spec = CrowdSpec(n_walkers=3, n_orbitals=2, seed=97)
+        pop = run_vmc_population(
+            spec, n_steps=25, n_warmup=3, tau=TAU_VMC, table=table,
+            processes=False, step_mode=step_mode,
+        )
+        wfs, rngs = build_walker_range(spec, table, 0, spec.n_walkers)
+        for w, (wf, rng) in enumerate(zip(wfs, rngs)):
+            single = run_vmc(
+                wf, rng, n_steps=25, n_warmup=3, tau=TAU_VMC,
+                step_mode=step_mode,
+            )
+            np.testing.assert_array_equal(single.energies, pop.energies[w])
+
+
 @pytest.fixture(scope="module")
 def dmc_spec():
     return CrowdSpec(n_walkers=3, n_orbitals=2, seed=23)

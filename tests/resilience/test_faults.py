@@ -7,6 +7,7 @@ from repro.core import BsplineAoSoA, BsplineSoA, Kind, NestedEvaluator
 from repro.qmc.dmc import DmcWalker, run_dmc
 from repro.qmc.estimators import LocalEnergy
 from repro.qmc.rng import WalkerRngPool
+from repro.qmc.vmc import run_vmc
 from repro.resilience import (
     FaultInjector,
     GuardConfig,
@@ -174,6 +175,69 @@ class TestPoisonedDmcEnergies:
                 walkers, pool, n_generations=4, tau=0.02,
                 estimator_factory=self._poisoned_factory(FaultInjector(0), 4),
             )
+
+
+class TestPoisonedVmcEnergies:
+    """NaN local energies in VMC, through a poisoned ``LocalEnergy``.
+
+    Every fourth ``total()`` call returns NaN; the next call (whether the
+    next step's measurement or a ``"recompute"`` re-measure through a
+    fresh estimator) is healthy again.
+    """
+
+    N_STEPS = 8
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        import repro.qmc.vmc as vmc_mod
+
+        measure = FaultInjector(0).poison_energies(
+            lambda est: est.total(), every=4
+        )
+        built = []
+
+        class PoisonedLocalEnergy:
+            def __init__(self, wf, ion_charge):
+                self._inner = LocalEnergy(wf, ion_charge)
+                built.append(self)
+
+            def total(self):
+                return measure(self._inner)
+
+        monkeypatch.setattr(vmc_mod, "LocalEnergy", PoisonedLocalEnergy)
+        return built
+
+    def _run(self, policy):
+        rng = np.random.default_rng(31)
+        return run_vmc(
+            build_wf(rng), rng, n_steps=self.N_STEPS, n_warmup=1, tau=0.2,
+            guard=GuardConfig(on_nonfinite_energy=policy),
+        )
+
+    def test_raise_policy_fails_loudly(self, built):
+        with pytest.raises(GuardViolation, match="non-finite local energy"):
+            self._run("raise")
+
+    def test_drop_policy_skips_poisoned_samples(self, built):
+        res = self._run("drop")
+        # Calls 4 and 8 of 8 measurements were poisoned.
+        assert len(res.energies) == self.N_STEPS - 2
+        assert np.isfinite(res.energies).all()
+        assert len(built) == 1
+
+    def test_recompute_policy_remeasures_through_fresh_estimator(self, built):
+        res = self._run("recompute")
+        # Each poisoned call (4 and 8 of 10) is re-measured once by a
+        # fresh estimator, which returns a finite value.
+        assert len(res.energies) == self.N_STEPS
+        assert np.isfinite(res.energies).all()
+        assert len(built) == 3
+
+    def test_unguarded_run_keeps_the_poisoned_samples(self, built):
+        rng = np.random.default_rng(31)
+        res = run_vmc(build_wf(rng), rng, n_steps=self.N_STEPS, n_warmup=1, tau=0.2)
+        assert len(res.energies) == self.N_STEPS
+        assert np.isnan(res.energies).sum() == 2
 
 
 class TestKilledWorkers:
